@@ -37,10 +37,10 @@
 //! decode loop streams whole lines. The `u32` epoch columns
 //! ([`HeardTable::row`], `NodeTable::epoch`) rely on autovectorization
 //! with unaligned loads (peeled prologues) — measured on par with
-//! aligned access on current x86-64. Cross-thread false sharing is
-//! confined to the per-shard outcome arenas, which are
-//! `#[repr(align(64))]`-padded so no two workers ever write the same
-//! line (see `ShardScratch` in `network.rs`).
+//! aligned access on current x86-64. Sharded workers write disjoint
+//! contiguous windows ([`HeardRowsMut`]), sharing a cache line only at
+//! a window boundary; their `#[repr(align(64))]` scratch slots never
+//! share one (`ShardScratch` in `network.rs`).
 //!
 //! Every kernel has a scalar reference implementation next to it
 //! (`*_scalar`), property-tested equal in this module and benchmarked
@@ -432,6 +432,17 @@ impl HeardTable {
         self.data[self.off[r] as usize + idx] = v;
     }
 
+    /// The whole table as one mutable row window, to be split at row
+    /// boundaries ([`HeardRowsMut::split_at`]) for parallel writers.
+    pub fn rows_mut(&mut self) -> HeardRowsMut<'_> {
+        HeardRowsMut {
+            first: 0,
+            off: &self.off,
+            len: &self.len,
+            data: &mut self.data,
+        }
+    }
+
     /// Realigns row `r` to `deg` entries, all [`NEVER`] — the
     /// conservative forget used when a node's adjacency list changed.
     pub fn reset_row(&mut self, r: usize, deg: usize) {
@@ -491,6 +502,52 @@ impl HeardTable {
         }
         self.off = off;
         self.data = data;
+    }
+}
+
+/// A mutable window over the contiguous rows `first..first + n` of a
+/// [`HeardTable`], addressed by absolute row index: rows lie
+/// back-to-back in node order, so a row range is one contiguous slice
+/// of the arena and windows split like `split_at_mut`.
+#[derive(Debug)]
+pub struct HeardRowsMut<'a> {
+    /// Absolute index of the window's first row.
+    first: usize,
+    /// `off[first..=first + n]` and `len[first..first + n]`.
+    off: &'a [u32],
+    len: &'a [u32],
+    /// The arena region `off[first]..off[first + n]`.
+    data: &'a mut [u32],
+}
+
+impl<'a> HeardRowsMut<'a> {
+    /// Absolute row `r`, one entry per adjacency slot.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [u32] {
+        let k = r - self.first;
+        let lo = (self.off[k] - self.off[0]) as usize;
+        &mut self.data[lo..lo + self.len[k] as usize]
+    }
+
+    /// Splits the window before absolute row `mid` (within the window
+    /// or at its end), like `split_at_mut`.
+    pub fn split_at(self, mid: usize) -> (HeardRowsMut<'a>, HeardRowsMut<'a>) {
+        let k = mid - self.first;
+        let (lo, hi) = self.data.split_at_mut((self.off[k] - self.off[0]) as usize);
+        let (len_lo, len_hi) = self.len.split_at(k);
+        let left = HeardRowsMut {
+            first: self.first,
+            off: &self.off[..=k],
+            len: len_lo,
+            data: lo,
+        };
+        let right = HeardRowsMut {
+            first: mid,
+            off: &self.off[k..],
+            len: len_hi,
+            data: hi,
+        };
+        (left, right)
     }
 }
 
@@ -665,6 +722,134 @@ mod tests {
             assert_eq!(t.row(0).len(), deg);
             assert!(t.row(0).iter().all(|&e| e == NEVER));
             assert_eq!(t.row(1), &[NEVER, 6], "other rows must be preserved");
+        }
+    }
+
+    /// Splits `t` at the ascending absolute row `cuts` and applies
+    /// every `(row, slot, value)` write through the window owning the
+    /// row, checking each read-back there.
+    fn write_through_windows(t: &mut HeardTable, cuts: &[usize], writes: &[(usize, usize, u32)]) {
+        let rows = t.rows();
+        let mut windows = Vec::new();
+        let (mut rest, mut lo) = (t.rows_mut(), 0);
+        for &cut in cuts {
+            let (head, tail) = rest.split_at(cut);
+            windows.push((lo..cut, head));
+            (rest, lo) = (tail, cut);
+        }
+        windows.push((lo..rows, rest));
+        for &(r, idx, v) in writes {
+            let (_, w) = windows
+                .iter_mut()
+                .find(|(span, _)| span.contains(&r))
+                .expect("some window owns every row");
+            w.row_mut(r)[idx] = v;
+            assert_eq!(w.row_mut(r)[idx], v);
+        }
+    }
+
+    /// Applies the same writes through `HeardTable::set` on the whole
+    /// table.
+    fn write_whole(t: &mut HeardTable, writes: &[(usize, usize, u32)]) {
+        for &(r, idx, v) in writes {
+            t.set(r, idx, v);
+        }
+    }
+
+    fn rows_of(t: &HeardTable) -> Vec<Vec<u32>> {
+        (0..t.rows()).map(|r| t.row(r).to_vec()).collect()
+    }
+
+    #[test]
+    fn heard_windows_write_like_whole_table_sets() {
+        let degrees = [3usize, 0, 5, 1, 4, 2];
+        let writes: Vec<(usize, usize, u32)> = degrees
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &d)| (0..d).map(move |k| (r, k, (10 * r + k) as u32)))
+            .collect();
+        let mut whole = HeardTable::new(degrees);
+        write_whole(&mut whole, &writes);
+        for cuts in [
+            vec![],
+            vec![2],
+            vec![1, 3, 5],
+            vec![0, 6],
+            vec![0, 0, 3, 3, 6, 6],
+        ] {
+            let mut split = HeardTable::new(degrees);
+            write_through_windows(&mut split, &cuts, &writes);
+            assert_eq!(rows_of(&split), rows_of(&whole), "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn heard_windows_at_the_edges() {
+        let mut t = HeardTable::new([2usize, 3]);
+        let (empty, all) = t.rows_mut().split_at(0);
+        assert!(empty.len.is_empty() && empty.data.is_empty());
+        let (mut all, empty) = all.split_at(2);
+        assert!(empty.len.is_empty() && empty.data.is_empty());
+        all.row_mut(0)[1] = 4;
+        all.row_mut(1)[2] = 5;
+        assert_eq!(t.row(0), &[NEVER, 4]);
+        assert_eq!(t.row(1), &[NEVER, NEVER, 5]);
+        // A table with no rows still splits into two empty windows.
+        let mut none = HeardTable::new(std::iter::empty::<usize>());
+        let (a, b) = none.rows_mut().split_at(0);
+        assert!(a.len.is_empty() && b.len.is_empty() && b.data.is_empty());
+    }
+
+    #[test]
+    fn heard_windows_after_a_growth_relayout() {
+        let degrees = [2usize, 1, 3, 2];
+        let mut t = HeardTable::new(degrees);
+        t.set(0, 1, 4);
+        t.set(3, 0, 8);
+        // Row 1 grows past its slack: the arena re-layouts every offset.
+        t.reset_row(1, 9);
+        let mut whole = t.clone();
+        let writes = [(0, 0, 1), (1, 8, 2), (1, 0, 3), (2, 2, 5), (3, 1, 6)];
+        write_whole(&mut whole, &writes);
+        for cuts in [vec![1], vec![2], vec![1, 2, 3], vec![0, 4]] {
+            let mut split = t.clone();
+            write_through_windows(&mut split, &cuts, &writes);
+            assert_eq!(rows_of(&split), rows_of(&whole), "cuts {cuts:?}");
+            assert_eq!(split.get(0, 1), 4, "untouched entries survive");
+            assert_eq!(split.get(3, 0), 8);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #[test]
+        fn heard_windows_equal_whole_table_writes(
+            degrees in proptest::collection::vec(0usize..9, 0..40),
+            cut_seeds in proptest::collection::vec(0usize..1000, 0..6),
+            write_seeds in proptest::collection::vec((0usize..1000, 0usize..1000, 0u32..50), 0..60),
+            grow in (0usize..1000, 0usize..20),
+        ) {
+            let mut t = HeardTable::new(degrees.iter().copied());
+            if !degrees.is_empty() {
+                // Realign one row first; growth past its slack
+                // re-layouts the whole arena.
+                t.reset_row(grow.0 % degrees.len(), grow.1);
+            }
+            let rows = t.rows();
+            let mut cuts: Vec<usize> = cut_seeds.iter().map(|c| c % (rows + 1)).collect();
+            cuts.sort_unstable();
+            let writes: Vec<(usize, usize, u32)> = write_seeds
+                .iter()
+                .filter_map(|&(r, k, v)| {
+                    let r = r % rows.max(1);
+                    let deg = if rows == 0 { 0 } else { t.row(r).len() };
+                    (deg > 0).then(|| (r, k % deg, v))
+                })
+                .collect();
+            let mut whole = t.clone();
+            write_whole(&mut whole, &writes);
+            write_through_windows(&mut t, &cuts, &writes);
+            proptest::prop_assert_eq!(rows_of(&t), rows_of(&whole));
         }
     }
 

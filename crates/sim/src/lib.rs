@@ -104,7 +104,7 @@ mod wire;
 pub use actor::ActorDriver;
 pub use convergence::StabilityTracker;
 pub use engine::kernels;
-pub use engine::run_pooled;
+pub use engine::{host_parallelism, run_pooled};
 pub use error::SimError;
 pub use events::{EventConfig, EventDriver};
 pub use faults::{Fault, FaultPlan, Lie, Region};

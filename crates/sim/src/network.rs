@@ -3,7 +3,7 @@ use mwn_radio::{Delivery, Medium, Occupancy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::{kernels, run_sharded, ActivityCore};
+use crate::engine::{host_parallelism, kernels, on_pool_worker, run_sharded, ActivityCore};
 use crate::faults::{Followup, Lie, Region};
 use crate::rng::{derive_seed, split_rng};
 use crate::scenario::TopologyDynamics;
@@ -43,71 +43,42 @@ pub struct StepActivity {
 /// How many worker shards the per-step active-set pass uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ShardMode {
-    /// Size from `available_parallelism`, and only shard when the
-    /// active set is large enough to amortize thread spawn.
+    /// Size from [`host_parallelism`], and only shard when the active
+    /// set is large enough to amortize thread spawn and the network is
+    /// not already stepped on a [`crate::run_pooled`] worker.
     Auto,
     /// Always split into exactly this many shards (equivalence tests,
     /// the CI forced-shard matrix leg).
     Forced(usize),
 }
 
-/// Below this many active nodes the sharded pass is not worth the
-/// scoped-thread round trip; `Auto` falls back to the serial loop.
+/// Below this many active nodes a shard's share of the pass does not
+/// pay for its scoped-thread spawn; `Auto` then runs one shard inline.
 const AUTO_SHARD_MIN_ACTIVE: usize = 1024;
 
-/// One shard's reusable outcome arena for the sharded phase-5 pass:
-/// the worker appends its chunk's results here (SoA: post-pass states,
-/// flattened reception patches, change flags), and the ordered merge
-/// drains them back into the table. Buffers keep their capacity across
-/// steps, so the steady-state converging loop performs zero per-node
-/// heap allocation; the `align(64)` pads each arena onto its own cache
-/// line so two workers never write the same line (the padding audit in
-/// [`crate::kernels`]).
+/// One shard's scratch for the phase-5 pass, pooled across steps so
+/// the steady-state pass never allocates; `align(64)` keeps two
+/// workers' slots off a shared cache line (see [`crate::kernels`]).
 #[repr(align(64))]
 struct ShardScratch<P: Protocol> {
-    /// Start of this shard's contiguous active-buffer chunk.
-    lo: usize,
-    /// End (exclusive) of the chunk.
-    hi: usize,
-    /// Post-pass state per chunk node.
-    states: Vec<P::State>,
-    /// Reception-row writes, flattened: `patch_len[k]` entries belong
-    /// to chunk node `k`; adjacency-slot and epoch columns.
-    patch_idx: Vec<u32>,
-    patch_epoch: Vec<u32>,
-    patch_len: Vec<u32>,
-    /// Whether the pass changed the node's state (gated only).
-    changed: Vec<bool>,
+    /// Pre-pass snapshot of the node being processed (gated only).
+    before: Option<P::State>,
+    /// Nodes of this chunk whose state changed (gated only).
+    changed: Vec<NodeId>,
     /// [`Protocol::receive`] invocations in this chunk.
-    receives: u32,
+    receives: usize,
 }
 
-impl<P: Protocol> ShardScratch<P> {
-    fn new() -> Self {
-        ShardScratch {
-            lo: 0,
-            hi: 0,
-            states: Vec::new(),
-            patch_idx: Vec::new(),
-            patch_epoch: Vec::new(),
-            patch_len: Vec::new(),
-            changed: Vec::new(),
-            receives: 0,
-        }
-    }
-
-    /// Re-arms the arena for a fresh chunk, keeping every buffer's
-    /// capacity.
-    fn reset(&mut self, lo: usize, hi: usize) {
-        self.lo = lo;
-        self.hi = hi;
-        self.states.clear();
-        self.patch_idx.clear();
-        self.patch_epoch.clear();
-        self.patch_len.clear();
-        self.changed.clear();
-        self.receives = 0;
-    }
+/// One shard of the phase-5 pass: a contiguous chunk of the sorted
+/// active set together with the node range it owns — the matching
+/// windows of the state column and of the reception arena.
+struct Shard<'a, P: Protocol> {
+    nodes: &'a [NodeId],
+    /// Index of the first node of the owned range (`states[0]`).
+    base: usize,
+    states: &'a mut [P::State],
+    heard: kernels::HeardRowsMut<'a>,
+    scratch: &'a mut ShardScratch<P>,
 }
 
 /// The synchronous round driver: one call to [`Network::step`] is one
@@ -157,13 +128,12 @@ impl<P: Protocol> ShardScratch<P> {
 /// The per-node pass of a step (phase 5) only ever writes a node's own
 /// state and reception row while reading frozen beacon columns, so it
 /// is embarrassingly parallel. [`Network::set_shards`] splits the
-/// active set into deterministic contiguous chunks, runs them on the
-/// shared worker pool, and merges the outcomes **in active-set order**
-/// — sharded and serial execution are byte-identical for every shard
-/// count (states, outputs, `RunReport`s), which is what makes the
-/// parallelism testable on any machine. The `MWN_FORCE_SHARDS`
-/// environment variable forces a shard count at construction (the CI
-/// matrix leg runs the whole suite with 4).
+/// sorted active set into contiguous chunks, each owning a contiguous
+/// node range, and every worker mutates its windows of the state column
+/// and reception arena **in place** — sharded and serial execution are
+/// byte-identical for every shard count (states, outputs, `RunReport`s).
+/// The `MWN_FORCE_SHARDS` environment variable forces a shard count at
+/// construction (the CI matrix leg runs the equivalence suites with 4).
 ///
 /// Networks are normally built through [`crate::Scenario`]; the
 /// constructor and the closure-projection run methods remain available
@@ -200,7 +170,8 @@ pub struct Network<P: Protocol, M> {
     active_buf: Vec<NodeId>,
     stale_buf: Vec<NodeId>,
     scratch_nodes: Vec<NodeId>,
-    /// Pooled per-shard outcome arenas for the sharded active pass.
+    /// Pooled per-shard scratch for the phase-5 pass (slot 0 serves
+    /// the one-shard case).
     shard_scratch: Vec<ShardScratch<P>>,
     delivery: Delivery,
     // Per-step observability for stop conditions and metrics.
@@ -330,9 +301,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
 
     /// Overrides how the per-step active pass is split across worker
     /// threads: `Some(k)` forces exactly `k` shards for every step
-    /// (even tiny ones — what the equivalence tests rely on), `None`
-    /// restores the automatic policy (shard by `available_parallelism`
-    /// once the active set is large enough to amortize thread spawn).
+    /// (even tiny ones, even on pool workers), `None` restores the
+    /// automatic policy: one shard per host worker once the active set
+    /// amortizes thread spawn, but one shard on a [`crate::run_pooled`]
+    /// worker (a parallel [`crate::Sweep`] job), so threads never nest.
     ///
     /// Sharded and serial execution are byte-identical for every shard
     /// count; this knob only moves wall-clock time.
@@ -349,12 +321,10 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         match self.shards {
             ShardMode::Forced(k) => k.min(active.max(1)),
             ShardMode::Auto => {
-                if active < AUTO_SHARD_MIN_ACTIVE {
+                if active < AUTO_SHARD_MIN_ACTIVE || on_pool_worker() {
                     1
                 } else {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
+                    host_parallelism()
                 }
             }
         }
@@ -747,16 +717,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         // frames, then one pass of guarded assignments. Nodes only ever
         // touch their own state and read frozen beacons, so per-node
         // processing is equivalent to the classic all-receives-then-
-        // all-updates phasing — and embarrassingly parallel: the
-        // sharded pass splits the active set into contiguous chunks and
-        // merges outcomes in order, byte-identical to the serial loop.
-        let now = self.step;
-        let shards = self.shard_count(self.active_buf.len());
-        let receives = if shards > 1 {
-            self.sharded_active_pass(eager, now, shards)
-        } else {
-            self.serial_active_pass(eager, now)
-        };
+        // all-updates phasing — and embarrassingly parallel.
+        let receives = self.active_pass(eager);
 
         // Phase 6: retire senders every neighbor has caught up with. A
         // retiring sender under a contention medium starts occupying
@@ -787,133 +749,95 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         self.step
     }
 
-    /// The serial phase-5 loop: in-place state mutation, no per-node
-    /// allocation. The reference the sharded pass is tested against.
-    ///
-    /// The per-frame binary search of the scalar reference is replaced
-    /// by the sorted-join kernel: the delivered-sender list and the
-    /// adjacency list merge in one two-pointer sweep per node
-    /// ([`kernels::sorted_positions`]).
-    fn serial_active_pass(&mut self, eager: bool, now: u64) -> usize {
-        let mut receives = 0usize;
-        let update_base = self.core.update_base;
-        let table = &mut self.core.table;
-        let protocol = &self.protocol;
-        let topo = &self.topo;
-        let delivery = &self.delivery;
-        for &p in &self.active_buf {
-            if !eager {
-                match &mut table.scratch_state {
-                    Some(s) => s.clone_from(&table.states[p.index()]),
-                    None => table.scratch_state = Some(table.states[p.index()].clone()),
-                }
-            }
-            kernels::sorted_positions(topo.neighbors(p), &delivery.heard[p.index()], |idx, s| {
-                let e = table.epoch[s.index()];
-                // Eager mode processes every delivered frame (classic
-                // semantics); gated mode skips re-receptions of an
-                // already-incorporated beacon, which the silence
-                // contract makes state no-ops.
-                if eager || table.heard.get(p.index(), idx) != e {
-                    table.heard.set(p.index(), idx, e);
-                    let (states, beacons) = (&mut table.states, &table.beacons);
-                    protocol.receive(p, &mut states[p.index()], s, &beacons[s.index()], now);
-                    receives += 1;
-                }
-            });
-            let mut rng = split_rng(update_base, now, u64::from(p.value()));
-            protocol.update(p, &mut table.states[p.index()], now, &mut rng);
-            if !eager {
-                let changed = table.forced_changed.contains(p)
-                    || table.scratch_state.as_ref() != Some(&table.states[p.index()]);
-                if changed {
-                    table.changed.push(p);
-                    table.update_dirty.insert(p);
-                    table.beacon_stale.insert(p);
-                }
-            }
-        }
-        receives
-    }
-
-    /// The sharded phase-5 pass: a deterministic owner-computes
-    /// partition of the active set into `shards` contiguous chunks,
-    /// computed over pooled per-shard arenas ([`ShardScratch`]), merged
-    /// back **in active-set order**.
-    ///
-    /// Workers read only frozen columns (beacons, epochs, pre-pass
-    /// states, the delivery) and write only their own arena: the
-    /// single-threaded merge then applies the arenas exactly as the
-    /// serial loop would have — which is why sharded ≡ serial holds
-    /// byte-for-byte for every shard count. The arenas are reused
-    /// across steps ([`run_sharded`] spawns one scoped thread per
-    /// slot, no result vectors), so the steady-state pass performs
-    /// zero per-node heap allocation.
-    fn sharded_active_pass(&mut self, eager: bool, now: u64, shards: usize) -> usize {
-        if self.shard_scratch.len() != shards {
-            self.shard_scratch.resize_with(shards, ShardScratch::new);
-        }
+    /// The phase-5 pass. Chunk `i` of the sorted active set owns the
+    /// nodes up to chunk `i + 1`'s first node, so the state column and
+    /// the reception arena split there into disjoint windows. The merge
+    /// appends the shards' changed lists in shard order — the serial
+    /// order — so any shard count replays the one-shard (serial) loop.
+    fn active_pass(&mut self, eager: bool) -> usize {
         let n_active = self.active_buf.len();
-        let chunk = n_active.div_ceil(shards);
-        for (i, sc) in self.shard_scratch.iter_mut().enumerate() {
-            sc.reset((i * chunk).min(n_active), ((i + 1) * chunk).min(n_active));
-        }
-        let update_base = self.core.update_base;
-        {
-            let table = &self.core.table;
-            let protocol = &self.protocol;
-            let topo = &self.topo;
-            let delivery = &self.delivery;
-            let active = &self.active_buf;
-            run_sharded(&mut self.shard_scratch, |_, sc| {
-                for &p in &active[sc.lo..sc.hi] {
-                    let mut state = table.states[p.index()].clone();
-                    let before = sc.patch_idx.len();
-                    kernels::sorted_positions(
-                        topo.neighbors(p),
-                        &delivery.heard[p.index()],
-                        |idx, s| {
-                            let e = table.epoch[s.index()];
-                            if eager || table.heard.get(p.index(), idx) != e {
-                                sc.patch_idx.push(idx as u32);
-                                sc.patch_epoch.push(e);
-                                protocol.receive(p, &mut state, s, &table.beacons[s.index()], now);
-                                sc.receives += 1;
-                            }
-                        },
-                    );
-                    let mut rng = split_rng(update_base, now, u64::from(p.value()));
-                    protocol.update(p, &mut state, now, &mut rng);
-                    let changed = !eager
-                        && (table.forced_changed.contains(p) || state != table.states[p.index()]);
-                    sc.patch_len.push((sc.patch_idx.len() - before) as u32);
-                    sc.changed.push(changed);
-                    sc.states.push(state);
-                }
+        let chunk = n_active.div_ceil(self.shard_count(n_active)).max(1);
+        let shards = n_active.div_ceil(chunk).max(1);
+        if self.shard_scratch.len() < shards {
+            self.shard_scratch.resize_with(shards, || ShardScratch {
+                before: None,
+                changed: Vec::new(),
+                receives: 0,
             });
         }
-        let mut receives = 0usize;
+        let (now, update_base, active) = (self.step, self.core.update_base, &self.active_buf);
+        let (protocol, topo, delivery) = (&self.protocol, &self.topo, &self.delivery);
         let table = &mut self.core.table;
-        for sc in self.shard_scratch.iter_mut() {
-            receives += sc.receives as usize;
-            let mut patch_cursor = 0usize;
-            for (k, state) in sc.states.drain(..).enumerate() {
-                let p = self.active_buf[sc.lo + k];
-                let np = sc.patch_len[k] as usize;
-                for j in patch_cursor..patch_cursor + np {
-                    table
-                        .heard
-                        .set(p.index(), sc.patch_idx[j] as usize, sc.patch_epoch[j]);
+        let n = table.states.len();
+        let (mut states, mut heard, mut base) =
+            (&mut table.states[..], Some(table.heard.rows_mut()), 0);
+        let work = self.shard_scratch[..shards]
+            .iter_mut()
+            .enumerate()
+            .map(|(i, scratch)| {
+                let end = active.get((i + 1) * chunk).map_or(n, |p| p.index());
+                let (own_states, rest) = std::mem::take(&mut states).split_at_mut(end - base);
+                states = rest;
+                let (own_heard, rest) = heard.take().expect("one window left").split_at(end);
+                heard = Some(rest);
+                let nodes = &active[(i * chunk).min(n_active)..((i + 1) * chunk).min(n_active)];
+                let shard = Shard {
+                    nodes,
+                    base,
+                    states: own_states,
+                    heard: own_heard,
+                    scratch,
+                };
+                base = end;
+                shard
+            });
+        let (beacons, epoch, forced) = (&table.beacons, &table.epoch, &table.forced_changed);
+        run_sharded(work, |mut shard: Shard<'_, P>| {
+            let scratch = &mut *shard.scratch;
+            scratch.changed.clear();
+            scratch.receives = 0;
+            for &p in shard.nodes {
+                let state = &mut shard.states[p.index() - shard.base];
+                let row = shard.heard.row_mut(p.index());
+                if !eager {
+                    match &mut scratch.before {
+                        Some(s) => s.clone_from(state),
+                        None => scratch.before = Some(state.clone()),
+                    }
                 }
-                patch_cursor += np;
-                table.states[p.index()] = state;
-                if sc.changed[k] {
-                    table.changed.push(p);
-                    table.update_dirty.insert(p);
-                    table.beacon_stale.insert(p);
+                // The sorted-join kernel merges the delivered-sender
+                // list with the adjacency list in one sweep per node.
+                kernels::sorted_positions(
+                    topo.neighbors(p),
+                    &delivery.heard[p.index()],
+                    |idx, s| {
+                        let e = epoch[s.index()];
+                        // Eager mode processes every delivered frame
+                        // (classic semantics); gated mode skips
+                        // re-receptions of an already-incorporated beacon,
+                        // which the silence contract makes state no-ops.
+                        if eager || row[idx] != e {
+                            row[idx] = e;
+                            protocol.receive(p, state, s, &beacons[s.index()], now);
+                            scratch.receives += 1;
+                        }
+                    },
+                );
+                let mut rng = split_rng(update_base, now, u64::from(p.value()));
+                protocol.update(p, state, now, &mut rng);
+                if !eager && (forced.contains(p) || scratch.before.as_ref() != Some(state)) {
+                    scratch.changed.push(p);
                 }
             }
-            debug_assert_eq!(patch_cursor, sc.patch_idx.len());
+        });
+        let mut receives = 0;
+        for scratch in &self.shard_scratch[..shards] {
+            receives += scratch.receives;
+            table.changed.extend_from_slice(&scratch.changed);
+        }
+        for &p in &table.changed {
+            table.update_dirty.insert(p);
+            table.beacon_stale.insert(p);
         }
         receives
     }
@@ -1560,6 +1484,41 @@ mod tests {
             assert_eq!(serial, run(Some(shards)), "{shards} shards diverged");
         }
         assert_eq!(serial, run(None));
+    }
+
+    #[test]
+    fn pool_workers_step_on_one_auto_shard() {
+        // A network stepped on a run_pooled worker must not nest shard
+        // threads inside the pool; forced counts are still honoured.
+        let job = |seed: u64| {
+            let mut net = Network::new(
+                GatedFlood,
+                BernoulliLoss::new(0.6),
+                builders::ring(40),
+                seed,
+            );
+            let auto = net.shard_count(AUTO_SHARD_MIN_ACTIVE);
+            net.set_shards(Some(4));
+            let forced = net.shard_count(AUTO_SHARD_MIN_ACTIVE);
+            net.set_shards(None);
+            net.run(5);
+            net.corrupt_all();
+            net.run(10);
+            (auto, forced, net.states().to_vec())
+        };
+        let seeds = [5u64, 6];
+        let serial = crate::Sweep::with_seeds(seeds.to_vec()).serial().map(job);
+        let pooled = crate::run_pooled(2, 2, |i| job(seeds[i]));
+        for (s, p) in serial.iter().zip(&pooled) {
+            assert_eq!(
+                s.0,
+                host_parallelism(),
+                "the calling thread shards by host width"
+            );
+            assert_eq!(p.0, 1, "a pool worker resolves Auto to one shard");
+            assert_eq!((s.1, p.1), (4, 4), "forced counts hold everywhere");
+            assert_eq!(s.2, p.2, "pooled runs replay the serial Sweep");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use mwn_radio::Medium;
 
-use crate::engine::run_pooled;
+use crate::engine::{host_parallelism, run_pooled};
 use crate::rng::derive_seed;
 use crate::{Network, Observable, RunReport, Scenario, SimError, StopWhen};
 
@@ -128,14 +128,12 @@ impl Sweep {
         match self.mode {
             ExecMode::Serial => self.seeds.iter().map(|&s| job(s)).collect(),
             ExecMode::Parallel(cap) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
+                let threads = host_parallelism()
                     .min(cap.unwrap_or(usize::MAX))
                     .min(runs.max(1));
-                // The shared engine pool: the same scoped-thread
-                // work-stealing loop the round driver's sharded
-                // active-set pass runs on.
+                // The shared engine pool; its workers are marked, so a
+                // job's round driver keeps its automatic shard policy
+                // at one shard instead of nesting threads.
                 run_pooled(runs, threads, |i| job(self.seeds[i]))
             }
         }

@@ -46,7 +46,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use mwn_cluster::RoutingView;
 use mwn_graph::{NodeId, Topology};
 use mwn_metrics::{LatencyHistogram, RunningStats};
-use mwn_sim::run_pooled;
+use mwn_sim::{host_parallelism, run_pooled};
 
 use crate::demand::FlowSpec;
 use crate::report::TrafficReport;
@@ -514,10 +514,7 @@ impl TrafficPlane {
                 if self.live < AUTO_SHARD_MIN_LIVE {
                     1
                 } else {
-                    std::thread::available_parallelism()
-                        .map(|c| c.get())
-                        .unwrap_or(1)
-                        .min(self.nodes.max(1))
+                    host_parallelism().min(self.nodes.max(1))
                 }
             }
         }

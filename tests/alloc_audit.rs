@@ -3,9 +3,12 @@
 //! The kernel layer's pooling claim, in numbers: once every reusable
 //! buffer has reached its high-water mark (one cold-start pass sizes
 //! them), the round driver's step loop performs **zero heap
-//! allocations** — converging storm and quiet phase alike — and the
-//! sharded pass allocates only the constant thread-spawn overhead,
-//! independent of network size.
+//! allocations** — converging storm and quiet phase alike. A sharded
+//! step adds only its worker-thread spawns: a per-step constant that
+//! does not grow with the network, checked both with a
+//! heap-free `u32` flood and with `DensityCluster`, whose heap-backed
+//! states (neighbor cache, beacon views) would expose any per-node
+//! state copy in the sharded pass.
 //!
 //! The audit covers the paper's own protocol too: with the pooled
 //! `beacon_into` rebuild, a `DensityCluster` converging wave (states
@@ -183,25 +186,7 @@ fn steady_state_loops_do_not_allocate() {
     // elections re-run — and with `beacon_into` pooling the view
     // rebuild, none of it allocates. Cache *structure* never changes,
     // so every view buffer keeps its settled capacity.
-    let mut net = Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
-        .topology(builders::grid(20, 20, 1.45 / 19.0))
-        .seed(7)
-        .build()
-        .expect("valid scenario");
-    net.set_shards(Some(1));
-    net.run_to(&StopWhen::stable_for(3).within(10_000))
-        .expect_stable("the clustering converges");
-    net.run(3);
-    let nodes = net.states().len() as u32;
-    let scramble = |net: &mut mwn_sim::Network<DensityCluster, PerfectMedium>, round: u32| {
-        for i in 0..nodes {
-            let node = NodeId::new(i);
-            let state = net.state_mut(node);
-            state.dag_id = u32::MAX - round;
-            state.density = Density::integer(round);
-            state.head = NodeId::new((i + 7 * (round + 1)) % nodes);
-        }
-    };
+    let mut net = settled_clustering(20, 1);
     // Warmup storms: the swapped beacon buffers circulate between
     // nodes, so each one's view capacity climbs to the global maximum
     // over a few storms (~1 realloc per step while climbing).
@@ -235,4 +220,65 @@ fn steady_state_loops_do_not_allocate() {
         "the protocol audit window must cover real converging work \
          ({converging_steps} active steps seen)"
     );
+
+    // --- DensityCluster, sharded: no per-node state copies ----------
+    // Workers update their owned state windows in place, so a sharded
+    // converging step costs the same spawn overhead at n = 100 and at
+    // n = 900; any per-node clone of the heap-backed state would scale
+    // ~9× between these sizes (hundreds of allocations per step).
+    let per_step = |side: usize, shards: usize, eager: bool| {
+        let mut net = settled_clustering(side, shards);
+        net.set_eager(eager);
+        for round in 0..5u32 {
+            scramble(&mut net, round); // warm every buffer, as above
+            net.run(5);
+        }
+        let mut allocs = 0;
+        for round in 5..9u32 {
+            scramble(&mut net, round);
+            allocs += allocs_during(&mut net, 4);
+        }
+        allocs as f64 / 16.0
+    };
+    for shards in [2usize, 4] {
+        for eager in [false, true] {
+            let small = per_step(10, shards, eager);
+            let large = per_step(30, shards, eager);
+            assert!(
+                large <= small + 2.0,
+                "sharded DensityCluster allocations must not grow with n \
+                 ({shards} shards, eager = {eager}: \
+                 n=100: {small:.1}/step, n=900: {large:.1}/step)"
+            );
+        }
+    }
+}
+
+/// A stabilized `side × side` clustering grid on a forced shard count.
+fn settled_clustering(
+    side: usize,
+    shards: usize,
+) -> mwn_sim::Network<DensityCluster, PerfectMedium> {
+    let mut net = Scenario::new(DensityCluster::new(ClusterConfig::default().event_driven()))
+        .topology(builders::grid(side, side, 1.45 / (side - 1) as f64))
+        .seed(7)
+        .build()
+        .expect("valid scenario");
+    net.set_shards(Some(shards));
+    net.run_to(&StopWhen::stable_for(3).within(10_000))
+        .expect_stable("the clustering converges");
+    net.run(3);
+    net
+}
+
+/// Scrambles every node's shared variables (wrong density, wrong head,
+/// wrong dag id) without touching its neighbor cache, waking it.
+fn scramble(net: &mut mwn_sim::Network<DensityCluster, PerfectMedium>, round: u32) {
+    let nodes = net.states().len() as u32;
+    for i in 0..nodes {
+        let state = net.state_mut(NodeId::new(i));
+        state.dag_id = u32::MAX - round;
+        state.density = Density::integer(round);
+        state.head = NodeId::new((i + 7 * (round + 1)) % nodes);
+    }
 }
