@@ -58,13 +58,11 @@ use std::sync::{Arc, Mutex};
 
 use mwn_graph::{NodeId, Point2, Topology, TopologyDelta};
 use mwn_radio::{Medium, PerfectMedium};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::engine::{run_pooled, ActivityCore, NodeSet};
 use crate::error::SimError;
-use crate::faults::{Fault, Followup, Lie};
-use crate::network::{Corruptor, StepActivity};
+use crate::faults::{Corruptor, Fault, FaultEngine};
+use crate::network::StepActivity;
 use crate::observable::Observable;
 use crate::protocol::{Activity, Corruptible, Protocol};
 use crate::rng::derive_seed;
@@ -82,26 +80,19 @@ struct ActorFrame {
 
 /// A bounded multi-producer mailbox: the channel end of one actor.
 ///
-/// The bound is the actor's in-degree — the protocol sends at most one
-/// beacon per neighbor per period, so a push can never block and an
-/// overflow is a driver bug, not backpressure.
+/// The bound is the actor's current in-degree — the protocol sends at
+/// most one beacon per neighbor per period, so a push can never block
+/// and an overflow is a driver bug, not backpressure.
+#[derive(Default)]
 struct Mailbox {
-    capacity: usize,
     queue: Mutex<Vec<ActorFrame>>,
 }
 
 impl Mailbox {
-    fn new(capacity: usize) -> Self {
-        Mailbox {
-            capacity,
-            queue: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn push(&self, frame: ActorFrame) {
+    fn push(&self, frame: ActorFrame, bound: usize) {
         let mut q = self.queue.lock().expect("mailbox lock");
         assert!(
-            q.len() < self.capacity.max(1),
+            q.len() < bound.max(1),
             "mailbox overflow: more than one frame per neighbor per period"
         );
         q.push(frame);
@@ -160,21 +151,12 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     period: u64,
     force_eager: bool,
     mailboxes: Vec<Mailbox>,
-    scripted: Vec<(u64, Fault)>,
-    next_scripted: usize,
-    /// Timed second phases of fired faults (resurrections, healings,
-    /// lie expiries), as `(due_period, seq, followup)`; fired in
-    /// ascending `(due, seq)` order before that period's scripted
-    /// faults, which fire before its slot release.
-    followups: Vec<(u64, u64, Followup<P>)>,
-    followup_seq: u64,
-    corruptor: Option<Corruptor<P>>,
-    fault_rng: StdRng,
+    /// Scripted faults, their followups and every injected fault.
+    faults: FaultEngine<P>,
     dynamics: Option<Box<dyn TopologyDynamics + Send>>,
     env_changed: bool,
     messages_total: u64,
     last_activity: StepActivity,
-    scratch_nodes: Vec<NodeId>,
     stale_buf: Vec<NodeId>,
     senders_buf: Vec<NodeId>,
     dirty_buf: Vec<NodeId>,
@@ -223,7 +205,7 @@ where
             )));
         }
         let core = ActivityCore::new(&protocol, &topo, seed);
-        let mailboxes = topo.nodes().map(|p| Mailbox::new(topo.degree(p))).collect();
+        let mailboxes = topo.nodes().map(|_| Mailbox::default()).collect();
         Ok(ActorDriver {
             protocol,
             medium,
@@ -232,17 +214,11 @@ where
             period: 0,
             force_eager: false,
             mailboxes,
-            scripted: Vec::new(),
-            next_scripted: 0,
-            followups: Vec::new(),
-            followup_seq: 0,
-            corruptor: None,
-            fault_rng: StdRng::seed_from_u64(derive_seed(seed, u64::MAX - 2)),
+            faults: FaultEngine::new(derive_seed(seed, u64::MAX - 2)),
             dynamics: None,
             env_changed: false,
             messages_total: 0,
             last_activity: StepActivity::default(),
-            scratch_nodes: Vec::new(),
             stale_buf: Vec::new(),
             senders_buf: Vec::new(),
             dirty_buf: Vec::new(),
@@ -252,26 +228,12 @@ where
         })
     }
 
-    pub(crate) fn install_script(
-        &mut self,
-        scripted: Vec<(u64, Fault)>,
-        corruptor: Option<Corruptor<P>>,
-    ) {
-        self.scripted = scripted;
-        self.next_scripted = 0;
-        self.corruptor = corruptor;
+    pub(crate) fn install_script(&mut self, script: Vec<(u64, Fault)>, hook: Corruptor<P>) {
+        self.faults.install(script, hook);
     }
 
     pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
         self.dynamics = Some(dynamics);
-    }
-
-    /// Re-derives every mailbox bound after a topology change (the
-    /// in-degree bound follows the adjacency lists).
-    fn resize_mailboxes(&mut self) {
-        for p in self.topo.nodes() {
-            self.mailboxes[p.index()].capacity = self.topo.degree(p);
-        }
     }
 
     /// `true` when the driver is currently using dirty-set (gated)
@@ -295,246 +257,6 @@ where
         self.threads
     }
 
-    fn apply_dynamics(&mut self) {
-        let Some(mut dynamics) = self.dynamics.take() else {
-            return;
-        };
-        let step = self.period;
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                let delta = self.topo.apply_moves(moves);
-                self.apply_delta(&delta);
-            }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            self.topo.clone_from(topo);
-            self.core.table.mark_all(&self.topo);
-            self.resize_mailboxes();
-            self.env_changed = true;
-        }
-        self.dynamics = Some(dynamics);
-    }
-
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        if self.core.apply_delta(&self.protocol, &self.topo, delta) {
-            self.env_changed = true;
-        }
-        self.resize_mailboxes();
-    }
-
-    fn corrupt_scripted(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        let corruptor = self
-            .corruptor
-            .as_ref()
-            .expect("Scenario::faults installs the corruption hook");
-        corruptor(
-            &self.protocol,
-            p,
-            &mut self.core.table.states[p.index()],
-            &mut rng,
-        );
-        self.core.wake_mutated(p, &self.topo);
-    }
-
-    fn pick_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        let mut picks = std::mem::take(&mut self.scratch_nodes);
-        picks.clear();
-        let fraction = fraction.clamp(0.0, 1.0);
-        for p in self.topo.nodes() {
-            if self.fault_rng.random_bool(fraction) {
-                picks.push(p);
-            }
-        }
-        picks
-    }
-
-    /// Fires every scripted fault due at the current period — **before**
-    /// the period's beacon slots are released. This is the actor-side
-    /// ordering contract: at equal logical timestamps, fault ≤ send, so
-    /// a frame is never evaluated against a pre-fault topology (see
-    /// `tests/fault_ordering.rs`).
-    fn fire_scripted(&mut self) {
-        while self.next_scripted < self.scripted.len()
-            && self.scripted[self.next_scripted].0 <= self.period
-        {
-            let fault = self.scripted[self.next_scripted].1.clone();
-            self.next_scripted += 1;
-            self.dispatch_fault(&fault);
-        }
-    }
-
-    /// Applies one fault right now. Shared by the scripted stream and
-    /// [`ActorDriver::inject`].
-    fn dispatch_fault(&mut self, fault: &Fault) {
-        self.env_changed = true;
-        match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
-            Fault::CorruptAll => {
-                for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
-                }
-            }
-            Fault::CorruptFraction(f) => {
-                let picks = self.pick_fraction(*f);
-                for &p in &picks {
-                    self.corrupt_scripted(p);
-                }
-                self.scratch_nodes = picks;
-            }
-            Fault::Isolate(p) => self.isolate(*p),
-            Fault::SetTopology(topo) => self
-                .set_topology(topo.clone())
-                .expect("scripted topology keeps the node count"),
-            Fault::CrashRecover { node, dark_for } => {
-                let state = self.core.table.states[node.index()].clone();
-                let links = self.topo.neighbors(*node).to_vec();
-                self.isolate(*node);
-                self.push_followup(
-                    self.period + (*dark_for).max(1),
-                    Followup::Resurrect {
-                        node: *node,
-                        state,
-                        links,
-                    },
-                );
-            }
-            Fault::ByzantineBeacon { node, lie, until } => {
-                let beacon = match lie {
-                    Lie::Forged => {
-                        let corruptor = self
-                            .corruptor
-                            .as_ref()
-                            .expect("Scenario::faults installs the corruption hook");
-                        let mut rng = self.core.corrupt_rng(*node);
-                        let mut fake = self.core.table.states[node.index()].clone();
-                        corruptor(&self.protocol, *node, &mut fake, &mut rng);
-                        self.protocol.beacon(*node, &fake)
-                    }
-                    Lie::Replayed => self.core.table.beacons[node.index()].clone(),
-                };
-                self.core.install_lie(&self.topo, *node, beacon);
-                self.push_followup(
-                    (*until).max(self.period + 1),
-                    Followup::ClearLie { node: *node },
-                );
-            }
-            Fault::PartitionHeal { cut, heal_at } => {
-                let mut in_cut = vec![false; self.topo.len()];
-                for &p in cut {
-                    in_cut[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| in_cut[u.index()] != in_cut[v.index()])
-                    .collect();
-                self.sever_edges(edges, *heal_at);
-            }
-            Fault::Jam { region, until } => {
-                let members = region.members(&self.topo);
-                let mut jammed = vec![false; self.topo.len()];
-                for &p in &members {
-                    jammed[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
-                    .collect();
-                self.sever_edges(edges, *until);
-            }
-        }
-    }
-
-    /// Removes `edges` (all currently present) through the incremental
-    /// delta path and schedules their restoration.
-    fn sever_edges(&mut self, edges: Vec<(NodeId, NodeId)>, restore_at: u64) {
-        if edges.is_empty() {
-            return;
-        }
-        for &(u, v) in &edges {
-            self.topo.remove_edge(u, v);
-        }
-        let delta = TopologyDelta {
-            removed: edges.clone(),
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-        self.push_followup(
-            restore_at.max(self.period + 1),
-            Followup::RestoreEdges { edges },
-        );
-    }
-
-    /// Re-adds whichever of `edges` are still absent, through the
-    /// incremental delta path.
-    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
-        let mut added = Vec::new();
-        for &(u, v) in edges {
-            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
-                added.push((u, v));
-            }
-        }
-        let delta = TopologyDelta {
-            added,
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-    }
-
-    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
-        let seq = self.followup_seq;
-        self.followup_seq += 1;
-        self.followups.push((due, seq, followup));
-    }
-
-    /// Fires every due followup in ascending `(due, seq)` order —
-    /// before this period's scripted faults, which fire before its
-    /// slot release.
-    fn fire_followups(&mut self) {
-        if self.followups.is_empty() {
-            return;
-        }
-        let now = self.period;
-        let mut due: Vec<(u64, u64, Followup<P>)> = Vec::new();
-        let mut i = 0;
-        while i < self.followups.len() {
-            if self.followups[i].0 <= now {
-                due.push(self.followups.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|&(d, seq, _)| (d, seq));
-        for (_, _, followup) in due {
-            self.apply_followup(followup);
-        }
-    }
-
-    fn apply_followup(&mut self, followup: Followup<P>) {
-        self.env_changed = true;
-        match followup {
-            Followup::Resurrect { node, state, links } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
-                let edges: Vec<(NodeId, NodeId)> = links
-                    .iter()
-                    .map(|&q| if node < q { (node, q) } else { (q, node) })
-                    .collect();
-                self.restore_edges(&edges);
-            }
-            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => {
-                self.core.clear_lie(&self.protocol, &self.topo, node);
-            }
-        }
-    }
-
     /// Executes one beacon period of the actor fabric; returns the new
     /// period count.
     ///
@@ -544,9 +266,18 @@ where
     pub fn step(&mut self) -> u64 {
         self.env_changed = false;
         self.core.table.changed.clear();
-        self.apply_dynamics();
-        self.fire_followups();
-        self.fire_scripted();
+        // Mobility, then followups, then scripted faults — before any
+        // beacon slot is released. This is the actor-side ordering
+        // contract: at equal logical timestamps, fault ≤ send, so a
+        // frame is never evaluated against a pre-fault topology (see
+        // `tests/fault_ordering.rs`).
+        self.env_changed |= self.faults.step_edge(
+            self.period,
+            &mut self.dynamics,
+            &self.protocol,
+            &mut self.topo,
+            &mut self.core,
+        );
         let eager = !self.is_gated();
         if eager {
             self.core.table.update_dirty.insert_all();
@@ -600,11 +331,12 @@ where
                 let payload: Arc<[u8]> = bytes.into();
                 let epoch = table.epoch[s.index()];
                 for &r in &heard {
-                    mailboxes[r.index()].push(ActorFrame {
+                    let frame = ActorFrame {
                         sender: s,
                         epoch,
                         payload: payload.clone(),
-                    });
+                    };
+                    mailboxes[r.index()].push(frame, topo.degree(r));
                 }
                 (attempted, heard.len())
             });
@@ -781,15 +513,8 @@ where
     /// Returns [`SimError::NodeCountMismatch`] if the node count
     /// changes.
     pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        if topo.len() != self.topo.len() {
-            return Err(SimError::NodeCountMismatch {
-                expected: self.topo.len(),
-                got: topo.len(),
-            });
-        }
-        self.topo = topo;
-        self.core.table.mark_all(&self.topo);
-        self.resize_mailboxes();
+        self.faults
+            .set_topology(topo, &mut self.topo, &mut self.core)?;
         self.env_changed = true;
         Ok(())
     }
@@ -798,7 +523,9 @@ where
     /// the actors whose links changed. Returns the link churn.
     pub fn apply_moves(&mut self, moves: &[(NodeId, Point2)]) -> TopologyDelta {
         let delta = self.topo.apply_moves(moves);
-        self.apply_delta(&delta);
+        if self.core.apply_delta(&self.protocol, &self.topo, &delta) {
+            self.env_changed = true;
+        }
         delta
     }
 
@@ -826,12 +553,9 @@ where
 
     /// Severs every link of `p`; see [`crate::Network::isolate`].
     pub fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
+        self.faults
+            .isolate(p, &self.protocol, &mut self.topo, &mut self.core);
         self.env_changed = true;
-        self.scratch_nodes = nbrs;
-        self.resize_mailboxes();
     }
 
     /// Total broadcasts since construction.
@@ -967,18 +691,15 @@ where
 {
     /// Corrupts the state of one node arbitrarily.
     pub fn corrupt(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        self.protocol
-            .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
-        self.core.wake_mutated(p, &self.topo);
+        self.inject(&Fault::CorruptNode(p))
+            .expect("corruption keeps the node count");
     }
 
     /// Corrupts every node: the adversarial "arbitrary initial
     /// configuration" of the self-stabilization definition.
     pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            self.corrupt(NodeId::new(i as u32));
-        }
+        self.inject(&Fault::CorruptAll)
+            .expect("corruption keeps the node count");
     }
 
     /// Applies one [`Fault`] right now — the entry point the chaos
@@ -992,17 +713,11 @@ where
     /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
     /// that changes the node count.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        if self.corruptor.is_none() {
-            self.corruptor = Some(Box::new(
-                |protocol: &P, p, state: &mut P::State, rng: &mut StdRng| {
-                    protocol.corrupt(p, state, rng);
-                },
-            ));
-        }
-        if let Fault::SetTopology(topo) = fault {
-            return self.set_topology(topo.clone());
-        }
-        self.dispatch_fault(fault);
+        self.faults.arm_corruptor();
+        let (protocol, topo, core) = (&self.protocol, &mut self.topo, &mut self.core);
+        self.faults
+            .dispatch(fault, self.period, protocol, topo, core)?;
+        self.env_changed = true;
         Ok(())
     }
 }
@@ -1014,6 +729,7 @@ mod tests {
     use crate::stop::StopWhen;
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
+    use rand::rngs::StdRng;
 
     /// Gated max-flood over `u32` beacons (already wire-codable).
     struct GatedFlood;

@@ -1,14 +1,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use mwn_graph::{NodeId, Topology, TopologyDelta};
+use mwn_graph::{NodeId, Topology};
 use mwn_radio::{Delivery, Medium, PerfectMedium};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::engine::{ActivityCore, NodeSet, SlotClock};
-use crate::faults::{Followup, Lie};
-use crate::network::Corruptor;
+use crate::faults::{Corruptor, FaultEngine};
 use crate::rng::{derive_seed, split_rng, streams};
 use crate::scenario::TopologyDynamics;
 use crate::{Activity, Corruptible, Fault, Protocol, SimError, StabilityTracker};
@@ -252,14 +250,11 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     tx_history: Vec<Vec<f64>>,
     /// Base of the per-frame extra-loss streams.
     loss_base: u64,
-    /// Dedicated stream for scripted-fault site selection, so fault
-    /// injection never perturbs beacon timing or frame-fate randomness.
-    fault_rng: StdRng,
     /// Scratch delivery for per-sender medium evaluation.
     delivery: Delivery,
     /// Scratch state snapshot for change detection under gating.
     scratch_state: Option<P::State>,
-    /// Scratch node list (corruption wakes, isolation).
+    /// Scratch node list (pending senders to arm).
     scratch_nodes: Vec<NodeId>,
     time: f64,
     /// Beacon broadcasts so far (the communication-efficiency metric).
@@ -268,18 +263,13 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     events: u64,
     frames_attempted: u64,
     frames_delivered: u64,
-    /// Scripted faults in logical-step order: a fault scheduled at step
-    /// `k` fires once the clock reaches `k` beacon periods, before any
-    /// event at or past that time is processed.
-    scripted: Vec<(u64, Fault)>,
-    next_scripted: usize,
-    /// Timed second phases of fired faults (resurrections, healings,
-    /// lie expiries), as `(due_step, seq, followup)`; fired at their
-    /// due logical-step boundary, after mobility but before scripted
-    /// faults and any protocol event at that instant.
-    followups: Vec<(u64, u64, Followup<P>)>,
-    followup_seq: u64,
-    corruptor: Option<Corruptor<P>>,
+    /// Scripted faults, their followups and every injected fault. A
+    /// fault or followup due at logical step `k` fires once the clock
+    /// reaches `k` beacon periods, after mobility but before any
+    /// protocol event at that instant (followups before faults). Its
+    /// fault-site stream is dedicated, so injection never perturbs
+    /// beacon timing or frame-fate randomness.
+    faults: FaultEngine<P>,
     /// Mobility (or other topology dynamics), ticked once per beacon
     /// period at logical-step boundaries.
     dynamics: Option<Box<dyn TopologyDynamics + Send>>,
@@ -350,7 +340,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             tx_armed: vec![false; n],
             tx_history: vec![Vec::new(); n],
             loss_base: derive_seed(seed, streams::EXTRA_LOSS),
-            fault_rng: StdRng::seed_from_u64(derive_seed(seed, streams::EVENT_FAULT)),
             delivery: Delivery::empty(n),
             scratch_state: None,
             scratch_nodes: Vec::new(),
@@ -359,11 +348,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             events: 0,
             frames_attempted: 0,
             frames_delivered: 0,
-            scripted: Vec::new(),
-            next_scripted: 0,
-            followups: Vec::new(),
-            followup_seq: 0,
-            corruptor: None,
+            faults: FaultEngine::new(derive_seed(seed, streams::EVENT_FAULT)),
             dynamics: None,
             dynamics_step: 0,
             changed_since: NodeSet::new(n),
@@ -374,14 +359,8 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         driver
     }
 
-    pub(crate) fn install_script(
-        &mut self,
-        scripted: Vec<(u64, Fault)>,
-        corruptor: Option<Corruptor<P>>,
-    ) {
-        self.scripted = scripted;
-        self.next_scripted = 0;
-        self.corruptor = corruptor;
+    pub(crate) fn install_script(&mut self, script: Vec<(u64, Fault)>, hook: Corruptor<P>) {
+        self.faults.install(script, hook);
     }
 
     pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
@@ -471,276 +450,66 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.scratch_nodes = buf;
     }
 
-    /// Processes an incremental topology change through the shared
-    /// core, then re-arms the woken senders.
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        self.core.apply_delta(&self.protocol, &self.topo, delta);
-        if delta.is_quiet() {
-            return;
-        }
-        for p in delta.touched() {
-            // link_down may have mutated the endpoint states.
-            self.note_changed(p);
-        }
-        self.arm_pending();
-    }
-
     /// One mobility tick at a logical-step boundary.
     fn tick_dynamics(&mut self) {
         let step = self.dynamics_step;
         self.dynamics_step += 1;
         self.time = self.time.max(self.step_time(step));
-        let Some(mut dynamics) = self.dynamics.take() else {
+        let Some(dynamics) = self.dynamics.as_mut() else {
             return;
         };
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                let delta = self.topo.apply_moves(moves);
-                self.apply_delta(&delta);
-            }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            self.topo.clone_from(topo);
-            self.core.table.mark_all(&self.topo);
-            for i in 0..self.topo.len() {
-                self.note_changed(NodeId::new(i as u32));
-            }
-            self.arm_pending();
+        let (protocol, topo, core) = (&self.protocol, &mut self.topo, &mut self.core);
+        if self
+            .faults
+            .tick(dynamics.as_mut(), step, protocol, topo, core)
+        {
+            self.absorb_woken();
         }
-        self.dynamics = Some(dynamics);
     }
 
-    fn corrupt_scripted(&mut self, p: NodeId) {
-        // Each corruption event gets its own derived stream: however
-        // much randomness the corruptor consumes, no node's timing or
-        // frame-fate streams move.
-        let mut rng = self.core.corrupt_rng(p);
-        let corruptor = self
-            .corruptor
-            .as_ref()
-            .expect("Scenario::faults installs the corruption hook");
-        corruptor(
-            &self.protocol,
-            p,
-            &mut self.core.table.states[p.index()],
-            &mut rng,
-        );
-        self.core.wake_mutated(p, &self.topo);
-        self.note_changed(p);
-    }
-
-    /// Severs every link of `p` (the node's radio goes dark), firing
-    /// [`Protocol::link_down`] on both endpoints of every cut link.
-    fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
-        for &q in &nbrs {
-            self.note_changed(q);
-        }
-        self.note_changed(p);
-        self.scratch_nodes = nbrs;
+    /// Fires the earliest-due followup batch: the clock advances to its
+    /// logical-step boundary and every followup due by then runs.
+    fn fire_followup_batch(&mut self) {
+        let due = self
+            .faults
+            .next_due()
+            .expect("caller checked a followup is pending");
+        self.time = self.time.max(self.step_time(due));
+        let (protocol, topo, core) = (&self.protocol, &mut self.topo, &mut self.core);
+        self.faults.fire_due(due, protocol, topo, core);
+        self.absorb_woken();
     }
 
     /// Fires the next scripted fault (already known to be due).
     fn fire_one_fault(&mut self) {
-        let (step, fault) = self.scripted[self.next_scripted].clone();
-        self.next_scripted += 1;
+        let step = self
+            .faults
+            .next_scripted()
+            .expect("caller checked a fault is pending");
         self.time = self.time.max(self.step_time(step));
-        self.dispatch_fault(&fault);
+        let fault = self.faults.pop_scripted(step).expect("peeked fault");
+        self.apply_fault(&fault)
+            .expect("scripts are validated before installation");
     }
 
-    /// Applies one fault right now (the clock already advanced to its
-    /// logical instant). Shared by the scripted stream and
-    /// [`EventDriver::inject`].
-    fn dispatch_fault(&mut self, fault: &Fault) {
-        let step = self.logical_now();
-        match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
-            Fault::CorruptAll => {
-                for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
-                }
-            }
-            Fault::CorruptFraction(f) => {
-                let fraction = f.clamp(0.0, 1.0);
-                let picks: Vec<NodeId> = self
-                    .topo
-                    .nodes()
-                    .filter(|_| self.fault_rng.random_bool(fraction))
-                    .collect();
-                for p in picks {
-                    self.corrupt_scripted(p);
-                }
-            }
-            Fault::Isolate(p) => self.isolate(*p),
-            Fault::SetTopology(topo) => {
-                assert_eq!(
-                    topo.len(),
-                    self.topo.len(),
-                    "scripted topology keeps the node count"
-                );
-                self.topo = topo.clone();
-                self.core.table.mark_all(&self.topo);
-                for i in 0..self.topo.len() {
-                    self.note_changed(NodeId::new(i as u32));
-                }
-            }
-            Fault::CrashRecover { node, dark_for } => {
-                let state = self.core.table.states[node.index()].clone();
-                let links = self.topo.neighbors(*node).to_vec();
-                self.isolate(*node);
-                self.push_followup(
-                    step + (*dark_for).max(1),
-                    Followup::Resurrect {
-                        node: *node,
-                        state,
-                        links,
-                    },
-                );
-            }
-            Fault::ByzantineBeacon { node, lie, until } => {
-                let beacon = match lie {
-                    Lie::Forged => {
-                        let corruptor = self
-                            .corruptor
-                            .as_ref()
-                            .expect("Scenario::faults installs the corruption hook");
-                        let mut rng = self.core.corrupt_rng(*node);
-                        let mut fake = self.core.table.states[node.index()].clone();
-                        corruptor(&self.protocol, *node, &mut fake, &mut rng);
-                        self.protocol.beacon(*node, &fake)
-                    }
-                    Lie::Replayed => self.core.table.beacons[node.index()].clone(),
-                };
-                self.core.install_lie(&self.topo, *node, beacon);
-                self.push_followup((*until).max(step + 1), Followup::ClearLie { node: *node });
-            }
-            Fault::PartitionHeal { cut, heal_at } => {
-                let mut in_cut = vec![false; self.topo.len()];
-                for &p in cut {
-                    in_cut[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| in_cut[u.index()] != in_cut[v.index()])
-                    .collect();
-                self.sever_edges(edges, (*heal_at).max(step + 1));
-            }
-            Fault::Jam { region, until } => {
-                let members = region.members(&self.topo);
-                let mut jammed = vec![false; self.topo.len()];
-                for &p in &members {
-                    jammed[p.index()] = true;
-                }
-                let edges: Vec<(NodeId, NodeId)> = self
-                    .topo
-                    .edges()
-                    .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
-                    .collect();
-                self.sever_edges(edges, (*until).max(step + 1));
-            }
+    /// Applies one fault at the current logical instant. Shared by the
+    /// scripted stream and [`EventDriver::inject`].
+    fn apply_fault(&mut self, fault: &Fault) -> Result<(), SimError> {
+        let now = self.logical_now();
+        let (protocol, topo, core) = (&self.protocol, &mut self.topo, &mut self.core);
+        self.faults.dispatch(fault, now, protocol, topo, core)?;
+        self.absorb_woken();
+        Ok(())
+    }
+
+    /// The epilogue of every fault-engine operation: the nodes it woke
+    /// count as changed for stability sampling, and every pending
+    /// sender gets a slot.
+    fn absorb_woken(&mut self) {
+        for &p in &self.faults.woken {
+            self.changed_since.insert(p);
         }
         self.arm_pending();
-    }
-
-    /// Removes `edges` (all currently present) through the incremental
-    /// delta path and schedules their restoration.
-    fn sever_edges(&mut self, edges: Vec<(NodeId, NodeId)>, restore_at: u64) {
-        if edges.is_empty() {
-            return;
-        }
-        for &(u, v) in &edges {
-            self.topo.remove_edge(u, v);
-        }
-        let delta = TopologyDelta {
-            removed: edges.clone(),
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-        self.push_followup(restore_at, Followup::RestoreEdges { edges });
-    }
-
-    /// Re-adds whichever of `edges` are still absent, through the
-    /// incremental delta path.
-    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
-        let mut added = Vec::new();
-        for &(u, v) in edges {
-            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
-                added.push((u, v));
-            }
-        }
-        let delta = TopologyDelta {
-            added,
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-    }
-
-    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
-        let seq = self.followup_seq;
-        self.followup_seq += 1;
-        self.followups.push((due, seq, followup));
-    }
-
-    /// The wall-clock instant of the earliest pending followup.
-    fn next_followup_time(&self) -> f64 {
-        self.followups
-            .iter()
-            .map(|&(due, _, _)| self.step_time(due))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Fires the earliest-due followup batch: the clock advances to its
-    /// logical-step boundary, every followup due by then runs in
-    /// ascending `(due, seq)` order, and woken senders are re-armed.
-    fn fire_due_followups(&mut self) {
-        let d0 = self
-            .followups
-            .iter()
-            .map(|&(due, _, _)| due)
-            .min()
-            .expect("caller checked a followup is pending");
-        self.time = self.time.max(self.step_time(d0));
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.followups.len() {
-            if self.followups[i].0 <= d0 {
-                due.push(self.followups.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|&(d, seq, _)| (d, seq));
-        for (_, _, followup) in due {
-            self.apply_followup(followup);
-        }
-        self.arm_pending();
-    }
-
-    fn apply_followup(&mut self, followup: Followup<P>) {
-        match followup {
-            Followup::Resurrect { node, state, links } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
-                self.note_changed(node);
-                let edges: Vec<(NodeId, NodeId)> = links
-                    .iter()
-                    .map(|&q| if node < q { (node, q) } else { (q, node) })
-                    .collect();
-                self.restore_edges(&edges);
-            }
-            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => {
-                self.core.clear_lie(&self.protocol, &self.topo, node);
-                self.note_changed(node);
-            }
-        }
     }
 
     /// Processes events up to (and including) time `t`; scripted
@@ -756,16 +525,18 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                 .map(|e| e.key.time)
                 .unwrap_or(f64::INFINITY);
             let fault_time = self
-                .scripted
-                .get(self.next_scripted)
-                .map(|&(k, _)| self.step_time(k))
-                .unwrap_or(f64::INFINITY);
+                .faults
+                .next_scripted()
+                .map_or(f64::INFINITY, |k| self.step_time(k));
             let dyn_time = if self.dynamics.is_some() {
                 self.step_time(self.dynamics_step)
             } else {
                 f64::INFINITY
             };
-            let followup_time = self.next_followup_time();
+            let followup_time = self
+                .faults
+                .next_due()
+                .map_or(f64::INFINITY, |k| self.step_time(k));
             let next = event_time.min(fault_time).min(dyn_time).min(followup_time);
             if next > t {
                 break;
@@ -777,7 +548,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             if dyn_time <= next {
                 self.tick_dynamics();
             } else if followup_time <= next {
-                self.fire_due_followups();
+                self.fire_followup_batch();
             } else if fault_time <= next {
                 self.fire_one_fault();
             } else {
@@ -1224,15 +995,8 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
     /// frame-fate streams: injecting a corruption does not shift any
     /// node's transmission schedule.
     pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            let p = NodeId::new(i as u32);
-            let mut rng = self.core.corrupt_rng(p);
-            self.protocol
-                .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
-            self.core.wake_mutated(p, &self.topo);
-            self.note_changed(p);
-        }
-        self.arm_pending();
+        self.inject(&Fault::CorruptAll)
+            .expect("corruption keeps the node count");
     }
 
     /// Applies one [`Fault`] at the current simulation time — the
@@ -1246,23 +1010,8 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
     /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
     /// that changes the node count.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        if self.corruptor.is_none() {
-            self.corruptor = Some(Box::new(
-                |protocol: &P, p, state: &mut P::State, rng: &mut StdRng| {
-                    protocol.corrupt(p, state, rng);
-                },
-            ));
-        }
-        if let Fault::SetTopology(topo) = fault {
-            if topo.len() != self.topo.len() {
-                return Err(SimError::NodeCountMismatch {
-                    expected: self.topo.len(),
-                    got: topo.len(),
-                });
-            }
-        }
-        self.dispatch_fault(fault);
-        Ok(())
+        self.faults.arm_corruptor();
+        self.apply_fault(fault)
     }
 }
 
@@ -1271,6 +1020,7 @@ mod tests {
     use super::*;
     use mwn_graph::builders;
     use mwn_radio::BernoulliLoss;
+    use rand::rngs::StdRng;
 
     struct MaxFlood;
     impl Protocol for MaxFlood {

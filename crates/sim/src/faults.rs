@@ -22,10 +22,16 @@
 //! * [`Fault::Jam`] — a regional medium blackout (every link touching
 //!   the region severed), lifted at a deadline.
 //!
+//! One clock-generic [`FaultEngine`] applies every fault on all three
+//! drivers: it owns the installed script, the followup queue, the
+//! corruption hook and the fault-site stream, and works on the
+//! driver's protocol, topology and activity core. The drivers keep
+//! only their clock edge — *when* to call it — and a short epilogue.
 //! The timed second phases (resurrection, healing, lie expiry) are
-//! scheduled by the driver as [`Followup`]s that fire at logical-step
-//! boundaries **before** scripted faults, which fire before sends —
-//! the same `fault ≤ send` ordering `tests/fault_ordering.rs` pins.
+//! scheduled by the engine as [`Followup`]s due at
+//! [`Fault::settles_by`], and fire at logical-step boundaries
+//! **before** scripted faults, which fire before sends — the same
+//! `fault ≤ send` ordering `tests/fault_ordering.rs` pins.
 //!
 //! Malformed plans (out-of-range victims, node-count-changing
 //! topologies, position-free deployments with disk regions) are
@@ -34,11 +40,17 @@
 //! a bad campaign fails the run with a typed [`SimError`], not the
 //! process.
 
-use mwn_graph::{NodeId, Topology};
-use mwn_radio::Medium;
+use std::collections::VecDeque;
 
+use mwn_graph::{NodeId, Topology, TopologyDelta};
+use mwn_radio::Medium;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use crate::engine::ActivityCore;
 use crate::error::SimError;
 use crate::protocol::Protocol;
+use crate::scenario::TopologyDynamics;
 use crate::{Corruptible, Network};
 
 /// What a Byzantine node puts on the air instead of its true beacon.
@@ -176,9 +188,9 @@ impl Fault {
     }
 }
 
-/// A timed second phase of a fault, scheduled by the driver that fired
-/// it and executed at a later logical-step boundary — before that
-/// boundary's scripted faults, which fire before its sends.
+/// A timed second phase of a fault, scheduled by the [`FaultEngine`]
+/// that fired it and executed at a later logical-step boundary —
+/// before that boundary's scripted faults, which fire before its sends.
 pub(crate) enum Followup<P: Protocol> {
     /// End of a [`Fault::CrashRecover`] darkness: restore the stale
     /// pre-crash state and re-add the recorded links that are still
@@ -194,6 +206,385 @@ pub(crate) enum Followup<P: Protocol> {
     /// End of a [`Fault::ByzantineBeacon`] window: drop the lie and
     /// wake the node so the truth re-propagates.
     ClearLie { node: NodeId },
+}
+
+/// The corruption hook a script is installed with: it captures the
+/// [`Corruptible`] capability, so scripted faults fire inside a
+/// driver's step without bounding every driver method by it.
+pub(crate) type Corruptor<P> = fn(&P, NodeId, &mut <P as Protocol>::State, &mut StdRng);
+
+/// The one fault engine behind all three drivers.
+///
+/// Every operation works on the driver's `(protocol, topology, core)`
+/// at a logical step `now` the driver supplies, and leaves the nodes it
+/// woke — whose state or links it may have changed — in [`Self::woken`]
+/// (cleared by each operation). Randomness comes from the per-event
+/// corruption streams of the [`ActivityCore`] and from the engine's
+/// own fault-site stream, never from a delivery or update stream.
+pub(crate) struct FaultEngine<P: Protocol> {
+    /// Installed scripted faults still to fire, sorted by step.
+    script: VecDeque<(u64, Fault)>,
+    /// Pending followups sorted by due step; equal dues keep their
+    /// insertion order.
+    followups: VecDeque<(u64, Followup<P>)>,
+    corruptor: Option<Corruptor<P>>,
+    /// Sequential fault-site stream ([`Fault::CorruptFraction`] picks).
+    rng: StdRng,
+    /// Nodes woken by the last operation (unsorted, may repeat).
+    pub woken: Vec<NodeId>,
+}
+
+impl<P: Protocol> FaultEngine<P> {
+    /// An idle engine drawing fault sites from the stream `fault_seed`.
+    pub fn new(fault_seed: u64) -> Self {
+        FaultEngine {
+            script: VecDeque::new(),
+            followups: VecDeque::new(),
+            corruptor: None,
+            rng: StdRng::seed_from_u64(fault_seed),
+            woken: Vec::new(),
+        }
+    }
+
+    /// Installs a step-sorted script ([`FaultPlan::into_events`]) and
+    /// the corruption hook its faults use.
+    pub fn install(&mut self, script: Vec<(u64, Fault)>, corruptor: Corruptor<P>) {
+        self.script = script.into();
+        self.corruptor = Some(corruptor);
+    }
+
+    /// The step of the next scripted fault.
+    pub fn next_scripted(&self) -> Option<u64> {
+        self.script.front().map(|(step, _)| *step)
+    }
+
+    /// Advances the script cursor past the next fault if it is due by
+    /// step `now`, handing it over.
+    pub fn pop_scripted(&mut self, now: u64) -> Option<Fault> {
+        if self.next_scripted()? > now {
+            return None;
+        }
+        self.script.pop_front().map(|(_, fault)| fault)
+    }
+
+    /// The due step of the earliest pending followup.
+    pub fn next_due(&self) -> Option<u64> {
+        self.followups.front().map(|(due, _)| *due)
+    }
+
+    /// The step boundary of the round and actor clocks: the mobility
+    /// tick, then the followups due by step `now`, then the scripted
+    /// faults due by it — all before the step's first beacon. Returns
+    /// whether anything observable changed; `woken` then holds only
+    /// the last operation's nodes, which these clocks do not read.
+    pub fn step_edge(
+        &mut self,
+        now: u64,
+        dynamics: &mut Option<Box<dyn TopologyDynamics + Send>>,
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) -> bool {
+        let mut changed = match dynamics {
+            Some(dynamics) => self.tick(dynamics.as_mut(), now, protocol, topo, core),
+            None => false,
+        };
+        changed |= self.fire_due(now, protocol, topo, core);
+        while let Some(fault) = self.pop_scripted(now) {
+            self.dispatch(&fault, now, protocol, topo, core)
+                .expect("scripts are validated before installation");
+            changed = true;
+        }
+        changed
+    }
+
+    /// Applies one fault at logical step `now`; timed faults schedule
+    /// their followup at [`Fault::settles_by`]`(now)`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
+    /// that changes the node count; nothing is applied then.
+    pub fn dispatch(
+        &mut self,
+        fault: &Fault,
+        now: u64,
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) -> Result<(), SimError> {
+        self.woken.clear();
+        let due = fault.settles_by(now);
+        match fault {
+            Fault::CorruptNode(p) => {
+                self.corrupt(*p, protocol, topo, core);
+                self.woken.push(*p);
+            }
+            Fault::CorruptAll => {
+                for p in topo.nodes() {
+                    self.corrupt(p, protocol, topo, core);
+                    self.woken.push(p);
+                }
+            }
+            Fault::CorruptFraction(fraction) => {
+                let fraction = fraction.clamp(0.0, 1.0);
+                for p in topo.nodes() {
+                    if self.rng.random_bool(fraction) {
+                        self.woken.push(p);
+                    }
+                }
+                for i in 0..self.woken.len() {
+                    self.corrupt(self.woken[i], protocol, topo, core);
+                }
+            }
+            Fault::Isolate(p) => self.isolate(*p, protocol, topo, core),
+            Fault::SetTopology(next) => self.set_topology(next.clone(), topo, core)?,
+            Fault::CrashRecover { node, .. } => {
+                let state = core.table.states[node.index()].clone();
+                let links = topo.neighbors(*node).to_vec();
+                self.isolate(*node, protocol, topo, core);
+                let resurrect = Followup::Resurrect {
+                    node: *node,
+                    state,
+                    links,
+                };
+                self.schedule(due, resurrect);
+            }
+            Fault::ByzantineBeacon { node, lie, .. } => {
+                let beacon = match lie {
+                    // The forged content draws on the per-event
+                    // corruption stream: delivery randomness is untouched.
+                    Lie::Forged => {
+                        let mut fake = core.table.states[node.index()].clone();
+                        let mut rng = core.corrupt_rng(*node);
+                        self.corruptor()(protocol, *node, &mut fake, &mut rng);
+                        protocol.beacon(*node, &fake)
+                    }
+                    Lie::Replayed => core.table.beacons[node.index()].clone(),
+                };
+                core.install_lie(topo, *node, beacon);
+                self.schedule(due, Followup::ClearLie { node: *node });
+            }
+            Fault::PartitionHeal { cut, .. } => {
+                let side = membership(topo.len(), cut);
+                let edges = topo
+                    .edges()
+                    .filter(|&(u, v)| side[u.index()] != side[v.index()])
+                    .collect();
+                self.sever(edges, due, protocol, topo, core);
+            }
+            Fault::Jam { region, .. } => {
+                let jammed = membership(topo.len(), &region.members(topo));
+                let edges = topo
+                    .edges()
+                    .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
+                    .collect();
+                self.sever(edges, due, protocol, topo, core);
+            }
+        }
+        Ok(())
+    }
+
+    /// Fires every followup due by step `now`, in due order (ties in
+    /// scheduling order). Returns whether any fired.
+    pub fn fire_due(
+        &mut self,
+        now: u64,
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) -> bool {
+        self.woken.clear();
+        let mut fired = false;
+        while self.next_due().is_some_and(|due| due <= now) {
+            let (_, followup) = self.followups.pop_front().expect("peeked followup");
+            fired = true;
+            match followup {
+                Followup::Resurrect { node, state, links } => {
+                    core.table.states[node.index()] = state;
+                    core.wake_mutated(node, topo);
+                    self.woken.push(node);
+                    let edges: Vec<(NodeId, NodeId)> = links
+                        .iter()
+                        .map(|&q| if node < q { (node, q) } else { (q, node) })
+                        .collect();
+                    self.restore(&edges, protocol, topo, core);
+                }
+                Followup::RestoreEdges { edges } => self.restore(&edges, protocol, topo, core),
+                Followup::ClearLie { node } => {
+                    core.clear_lie(protocol, topo, node);
+                    self.woken.push(node);
+                }
+            }
+        }
+        fired
+    }
+
+    /// One mobility tick: the topology `dynamics` hold for `step`,
+    /// applied incrementally when they provide moves, wholesale
+    /// otherwise. Returns whether anything observable changed.
+    pub fn tick(
+        &mut self,
+        dynamics: &mut (dyn TopologyDynamics + Send),
+        step: u64,
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) -> bool {
+        self.woken.clear();
+        if let Some(moves) = dynamics.next_moves(step) {
+            if moves.is_empty() {
+                return false;
+            }
+            let delta = topo.apply_moves(moves);
+            self.apply_delta(&delta, protocol, topo, core)
+        } else if let Some(next) = dynamics.next_topology(step) {
+            self.set_topology(next.clone(), topo, core)
+                .expect("topology dynamics must preserve the node count");
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Replaces the topology wholesale. A swap carries no link-level
+    /// delta, so every node is rescheduled (and no
+    /// [`Protocol::link_down`] fires).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NodeCountMismatch`] if the node count changes:
+    /// protocol state is indexed by node.
+    pub fn set_topology(
+        &mut self,
+        next: Topology,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) -> Result<(), SimError> {
+        self.woken.clear();
+        if next.len() != topo.len() {
+            return Err(SimError::NodeCountMismatch {
+                expected: topo.len(),
+                got: next.len(),
+            });
+        }
+        *topo = next;
+        core.table.mark_all(topo);
+        self.woken.extend(topo.nodes());
+        Ok(())
+    }
+
+    /// Severs every link of `p` ([`ActivityCore::isolate`]); wakes `p`
+    /// and its former neighbors.
+    pub fn isolate(
+        &mut self,
+        p: NodeId,
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) {
+        core.isolate(protocol, topo, p, &mut self.woken);
+        self.woken.push(p);
+    }
+
+    fn corruptor(&self) -> Corruptor<P> {
+        self.corruptor
+            .expect("a script or `inject` installs the corruption hook")
+    }
+
+    /// Scrambles `p`'s state on a fresh corruption stream and wakes it
+    /// in the core (the caller records it in `woken`).
+    fn corrupt(&self, p: NodeId, protocol: &P, topo: &Topology, core: &mut ActivityCore<P>) {
+        let mut rng = core.corrupt_rng(p);
+        self.corruptor()(protocol, p, &mut core.table.states[p.index()], &mut rng);
+        core.wake_mutated(p, topo);
+    }
+
+    fn schedule(&mut self, due: u64, followup: Followup<P>) {
+        let at = self.followups.partition_point(|(d, _)| *d <= due);
+        self.followups.insert(at, (due, followup));
+    }
+
+    /// Processes an incremental topology change through the core and
+    /// wakes its endpoints. Returns whether anything observable changed.
+    fn apply_delta(
+        &mut self,
+        delta: &TopologyDelta,
+        protocol: &P,
+        topo: &Topology,
+        core: &mut ActivityCore<P>,
+    ) -> bool {
+        let changed = core.apply_delta(protocol, topo, delta);
+        let endpoints = delta.added.iter().chain(&delta.removed);
+        self.woken.extend(endpoints.flat_map(|&(u, v)| [u, v]));
+        changed
+    }
+
+    /// Removes `edges` (all currently present) through the incremental
+    /// delta path and schedules their restoration at step `due`.
+    fn sever(
+        &mut self,
+        edges: Vec<(NodeId, NodeId)>,
+        due: u64,
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) {
+        if edges.is_empty() {
+            return;
+        }
+        for &(u, v) in &edges {
+            topo.remove_edge(u, v);
+        }
+        let delta = TopologyDelta {
+            removed: edges,
+            ..TopologyDelta::default()
+        };
+        self.apply_delta(&delta, protocol, topo, core);
+        let edges = delta.removed;
+        self.schedule(due, Followup::RestoreEdges { edges });
+    }
+
+    /// Re-adds whichever of `edges` are still absent (mobility or later
+    /// faults may have restored or re-severed some).
+    fn restore(
+        &mut self,
+        edges: &[(NodeId, NodeId)],
+        protocol: &P,
+        topo: &mut Topology,
+        core: &mut ActivityCore<P>,
+    ) {
+        let mut added = Vec::new();
+        for &(u, v) in edges {
+            if !topo.has_edge(u, v) && topo.add_edge(u, v).is_ok() {
+                added.push((u, v));
+            }
+        }
+        let delta = TopologyDelta {
+            added,
+            ..TopologyDelta::default()
+        };
+        self.apply_delta(&delta, protocol, topo, core);
+    }
+}
+
+impl<P: Corruptible> FaultEngine<P> {
+    /// Installs the protocol's own [`Corruptible::corrupt`] as the
+    /// corruption hook unless a script already installed one — what
+    /// lets the drivers' public corruption methods and `inject` run
+    /// without a script.
+    pub fn arm_corruptor(&mut self) {
+        self.corruptor.get_or_insert(P::corrupt);
+    }
+}
+
+/// A node-indexed membership mask of `nodes`.
+fn membership(n: usize, nodes: &[NodeId]) -> Vec<bool> {
+    let mut mask = vec![false; n];
+    for &p in nodes {
+        mask[p.index()] = true;
+    }
+    mask
 }
 
 /// A reproducible script of faults, each fired *before* the given step
@@ -521,6 +912,27 @@ mod tests {
         );
         let err = plan.run(&mut net, 10).unwrap_err();
         assert!(err.to_string().contains("positioned"), "err: {err}");
+    }
+
+    #[test]
+    fn followups_fire_in_due_order_with_ties_in_scheduling_order() {
+        let mut topo = builders::line(6);
+        let mut core = ActivityCore::new(&MaxFlood, &topo, 1);
+        let mut engine = FaultEngine::<MaxFlood>::new(0);
+        for (due, node) in [(5, 0), (3, 1), (5, 2), (3, 3), (4, 4)] {
+            let node = NodeId::new(node);
+            engine.schedule(due, Followup::ClearLie { node });
+        }
+        assert_eq!(engine.next_due(), Some(3));
+        assert!(!engine.fire_due(2, &MaxFlood, &mut topo, &mut core));
+        assert!(engine.fire_due(4, &MaxFlood, &mut topo, &mut core));
+        let fired = |engine: &FaultEngine<MaxFlood>| -> Vec<u32> {
+            engine.woken.iter().map(|p| p.value()).collect()
+        };
+        assert_eq!(fired(&engine), vec![1, 3, 4]);
+        assert!(engine.fire_due(9, &MaxFlood, &mut topo, &mut core));
+        assert_eq!(fired(&engine), vec![0, 2]);
+        assert_eq!(engine.next_due(), None);
     }
 
     #[test]

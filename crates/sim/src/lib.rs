@@ -26,13 +26,16 @@
 //!   virtual-time token governor — genuine concurrency validating that
 //!   the simulated drivers' claims survive real interleaving.
 //!
-//! Both drivers run on one shared activity core (the private `engine`
-//! module): columnar per-node state, dirty-set scheduling, beacon
-//! epochs, per-(tick, node) derived randomness and a common worker
-//! pool — so silent stabilized regions cost (near) zero work under
-//! either clock, gated execution is byte-identical to eager execution,
-//! and the round driver's per-step active pass can be sharded across
-//! threads without changing a single byte of output.
+//! All three drivers run on one shared activity core (the private
+//! `engine` module): columnar per-node state, dirty-set scheduling,
+//! beacon epochs, per-(tick, node) derived randomness and a common
+//! worker pool — so silent stabilized regions cost (near) zero work
+//! under every clock, gated execution is byte-identical to eager
+//! execution, and the round driver's per-step active pass can be
+//! sharded across threads without changing a single byte of output.
+//! They also share one fault engine (the private `faults` module's
+//! `FaultEngine`), so every driver applies faults, their timed
+//! followups and mobility ticks the same way.
 //! * [`StopWhen`] / [`RunReport`] — first-class stop conditions
 //!   (stability streaks, step budgets, predicates, combinators) and
 //!   structured run outcomes, replacing per-call-site projection

@@ -4,17 +4,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{host_parallelism, kernels, on_pool_worker, run_sharded, ActivityCore};
-use crate::faults::{Followup, Lie, Region};
+use crate::faults::{Corruptor, FaultEngine};
 use crate::rng::{derive_seed, split_rng};
 use crate::scenario::TopologyDynamics;
 use crate::stop::{Obs, RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError, StabilityTracker};
-
-/// The boxed corruption hook installed by [`crate::Scenario::faults`]:
-/// it captures the [`Corruptible`] capability so scripted faults can
-/// fire inside [`Network::step`] without bounding every driver method.
-pub(crate) type Corruptor<P> =
-    Box<dyn Fn(&P, NodeId, &mut <P as Protocol>::State, &mut StdRng) + Send + Sync>;
 
 /// What one [`Network::step`] actually did — the activity counters of
 /// the dirty-set engine.
@@ -89,7 +83,8 @@ struct Shard<'a, P: Protocol> {
 /// 1. if the scenario attached mobility dynamics, the topology moves
 ///    (incrementally via [`Topology::apply_moves`] when the dynamics
 ///    provide per-step moves);
-/// 2. scripted faults due at this step fire;
+/// 2. fault followups, then scripted faults, due at this step fire
+///    (both through the fault engine all three drivers share);
 /// 3. every *scheduled* node snapshots its shared variables
 ///    ([`Protocol::beacon`]) — simultaneous, so information moves at
 ///    most one hop per step, exactly as in the paper's Table 2;
@@ -148,28 +143,18 @@ pub struct Network<P: Protocol, M> {
     /// Sequential stream for contention-coupled media (whose rounds
     /// are evaluated with the full sender set in one call).
     medium_rng: StdRng,
-    /// Sequential stream for fault-site selection.
-    fault_rng: StdRng,
     step: u64,
     /// `true` when the user pinned the driver to eager scheduling.
     force_eager: bool,
     /// How the per-step active pass is split across workers.
     shards: ShardMode,
-    /// Scenario-scripted faults, fired inside [`Network::step`].
-    scripted: Vec<(u64, Fault)>,
-    next_scripted: usize,
-    /// Timed second phases of fired faults (resurrections, healings,
-    /// lie expiries), as `(due_step, seq, followup)`; fired in
-    /// ascending `(due, seq)` order before that step's scripted faults.
-    followups: Vec<(u64, u64, Followup<P>)>,
-    followup_seq: u64,
-    corruptor: Option<Corruptor<P>>,
+    /// Scripted faults, their followups and every injected fault.
+    faults: FaultEngine<P>,
     dynamics: Option<Box<dyn TopologyDynamics + Send>>,
     // Reused step buffers: no per-step allocation in steady state.
     senders_buf: Vec<NodeId>,
     active_buf: Vec<NodeId>,
     stale_buf: Vec<NodeId>,
-    scratch_nodes: Vec<NodeId>,
     /// Pooled per-shard scratch for the phase-5 pass (slot 0 serves
     /// the one-shard case).
     shard_scratch: Vec<ShardScratch<P>>,
@@ -192,7 +177,6 @@ where
             .field("topo", &self.topo)
             .field("states", &self.core.table.states)
             .field("step", &self.step)
-            .field("scripted", &self.scripted.len())
             .field("dynamics", &self.dynamics.is_some())
             .finish_non_exhaustive()
     }
@@ -219,20 +203,14 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             medium,
             topo,
             medium_rng: StdRng::seed_from_u64(derive_seed(seed, u64::MAX)),
-            fault_rng: StdRng::seed_from_u64(derive_seed(seed, u64::MAX - 2)),
             step: 0,
             force_eager: false,
             shards,
-            scripted: Vec::new(),
-            next_scripted: 0,
-            followups: Vec::new(),
-            followup_seq: 0,
-            corruptor: None,
+            faults: FaultEngine::new(derive_seed(seed, u64::MAX - 2)),
             dynamics: None,
             senders_buf: Vec::new(),
             active_buf: Vec::new(),
             stale_buf: Vec::new(),
-            scratch_nodes: Vec::new(),
             shard_scratch: Vec::new(),
             delivery: Delivery::empty(0),
             last_activity: StepActivity::default(),
@@ -241,14 +219,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         }
     }
 
-    pub(crate) fn install_script(
-        &mut self,
-        scripted: Vec<(u64, Fault)>,
-        corruptor: Option<Corruptor<P>>,
-    ) {
-        self.scripted = scripted;
-        self.next_scripted = 0;
-        self.corruptor = corruptor;
+    pub(crate) fn install_script(&mut self, script: Vec<(u64, Fault)>, hook: Corruptor<P>) {
+        self.faults.install(script, hook);
     }
 
     pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
@@ -350,32 +322,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         &self.core.table.changed
     }
 
-    fn apply_dynamics(&mut self) {
-        let Some(mut dynamics) = self.dynamics.take() else {
-            return;
-        };
-        let step = self.step;
-        if let Some(moves) = dynamics.next_moves(step) {
-            if !moves.is_empty() {
-                let delta = self.topo.apply_moves(moves);
-                self.apply_delta(&delta);
-            }
-        } else if let Some(topo) = dynamics.next_topology(step) {
-            assert_eq!(
-                topo.len(),
-                self.topo.len(),
-                "topology dynamics must preserve the node count"
-            );
-            // clone_from reuses the driver's existing adjacency
-            // buffers where possible; a wholesale swap invalidates all
-            // incremental bookkeeping.
-            self.topo.clone_from(topo);
-            self.core.table.mark_all(&self.topo);
-            self.env_changed = true;
-        }
-        self.dynamics = Some(dynamics);
-    }
-
     /// Processes an incremental topology change through the shared
     /// core: notify the protocol of vanished links, wake the touched
     /// nodes, realign their reception bookkeeping.
@@ -388,239 +334,17 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         }
     }
 
-    fn corrupt_scripted(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        let corruptor = self
-            .corruptor
-            .as_ref()
-            .expect("Scenario::faults installs the corruption hook");
-        corruptor(
-            &self.protocol,
-            p,
-            &mut self.core.table.states[p.index()],
-            &mut rng,
-        );
-        self.core.wake_mutated(p, &self.topo);
-    }
-
-    /// Deterministically picks ≈ `fraction` of the nodes from the
-    /// dedicated fault stream into the reused scratch buffer.
-    fn pick_fraction(&mut self, fraction: f64) -> Vec<NodeId> {
-        use rand::Rng;
-        let mut picks = std::mem::take(&mut self.scratch_nodes);
-        picks.clear();
-        let fraction = fraction.clamp(0.0, 1.0);
-        for p in self.topo.nodes() {
-            if self.fault_rng.random_bool(fraction) {
-                picks.push(p);
-            }
-        }
-        picks
-    }
-
-    fn fire_scripted(&mut self) {
-        while self.next_scripted < self.scripted.len()
-            && self.scripted[self.next_scripted].0 <= self.step
-        {
-            let fault = self.scripted[self.next_scripted].1.clone();
-            self.next_scripted += 1;
-            self.dispatch_fault(&fault);
-        }
-    }
-
-    /// Applies one fault right now. Shared by the scripted stream and
-    /// [`Network::inject`]; the plan is validated before installation
-    /// ([`crate::FaultPlan::validate_for`]), so the remaining
-    /// `SetTopology` expect is unreachable from scripts.
-    fn dispatch_fault(&mut self, fault: &Fault) {
-        self.env_changed = true;
-        match fault {
-            Fault::CorruptNode(p) => self.corrupt_scripted(*p),
-            Fault::CorruptAll => {
-                for i in 0..self.topo.len() {
-                    self.corrupt_scripted(NodeId::new(i as u32));
-                }
-            }
-            Fault::CorruptFraction(f) => {
-                let picks = self.pick_fraction(*f);
-                for &p in &picks {
-                    self.corrupt_scripted(p);
-                }
-                self.scratch_nodes = picks;
-            }
-            Fault::Isolate(p) => self.isolate(*p),
-            Fault::SetTopology(topo) => self
-                .set_topology(topo.clone())
-                .expect("scripted topology keeps the node count"),
-            Fault::CrashRecover { node, dark_for } => self.crash(*node, *dark_for),
-            Fault::ByzantineBeacon { node, lie, until } => self.byzantine(*node, *lie, *until),
-            Fault::PartitionHeal { cut, heal_at } => self.partition(cut, *heal_at),
-            Fault::Jam { region, until } => self.jam(region, *until),
-        }
-    }
-
-    /// [`Fault::CrashRecover`]: snapshot state + links, go dark via
-    /// [`Network::isolate`], schedule the resurrection.
-    fn crash(&mut self, p: NodeId, dark_for: u64) {
-        let state = self.core.table.states[p.index()].clone();
-        let links = self.topo.neighbors(p).to_vec();
-        self.isolate(p);
-        self.push_followup(
-            self.step + dark_for.max(1),
-            Followup::Resurrect {
-                node: p,
-                state,
-                links,
-            },
-        );
-    }
-
-    /// [`Fault::ByzantineBeacon`]: install the lie at the engine level
-    /// (epoch-bumped, send-pending, occupancy-released) and schedule
-    /// its expiry. The forged content draws on the dedicated
-    /// per-corruption-event stream, so frame-delivery randomness is
-    /// untouched.
-    fn byzantine(&mut self, p: NodeId, lie: Lie, until: u64) {
-        let beacon = match lie {
-            Lie::Forged => {
-                let corruptor = self
-                    .corruptor
-                    .as_ref()
-                    .expect("Scenario::faults installs the corruption hook");
-                let mut rng = self.core.corrupt_rng(p);
-                let mut fake = self.core.table.states[p.index()].clone();
-                corruptor(&self.protocol, p, &mut fake, &mut rng);
-                self.protocol.beacon(p, &fake)
-            }
-            Lie::Replayed => self.core.table.beacons[p.index()].clone(),
-        };
-        self.core.install_lie(&self.topo, p, beacon);
-        self.push_followup(until.max(self.step + 1), Followup::ClearLie { node: p });
-    }
-
-    /// [`Fault::PartitionHeal`]: sever every edge crossing the cut,
-    /// schedule the heal.
-    fn partition(&mut self, cut: &[NodeId], heal_at: u64) {
-        let mut in_cut = vec![false; self.topo.len()];
-        for &p in cut {
-            in_cut[p.index()] = true;
-        }
-        let edges: Vec<(NodeId, NodeId)> = self
-            .topo
-            .edges()
-            .filter(|&(u, v)| in_cut[u.index()] != in_cut[v.index()])
-            .collect();
-        self.sever_edges(edges, heal_at);
-    }
-
-    /// [`Fault::Jam`]: sever every edge touching the region, schedule
-    /// the restoration.
-    fn jam(&mut self, region: &Region, until: u64) {
-        let members = region.members(&self.topo);
-        let mut jammed = vec![false; self.topo.len()];
-        for &p in &members {
-            jammed[p.index()] = true;
-        }
-        let edges: Vec<(NodeId, NodeId)> = self
-            .topo
-            .edges()
-            .filter(|&(u, v)| jammed[u.index()] || jammed[v.index()])
-            .collect();
-        self.sever_edges(edges, until);
-    }
-
-    /// Removes `edges` (all currently present) through the incremental
-    /// delta path — occupancy adjusted edge-wise, `link_down` fired,
-    /// touched nodes woken — and schedules their restoration.
-    fn sever_edges(&mut self, edges: Vec<(NodeId, NodeId)>, restore_at: u64) {
-        if edges.is_empty() {
-            return;
-        }
-        for &(u, v) in &edges {
-            self.topo.remove_edge(u, v);
-        }
-        let delta = TopologyDelta {
-            removed: edges.clone(),
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-        self.push_followup(
-            restore_at.max(self.step + 1),
-            Followup::RestoreEdges { edges },
-        );
-    }
-
-    /// Re-adds whichever of `edges` are still absent (mobility or later
-    /// faults may have restored or re-severed some), again through the
-    /// incremental delta path.
-    fn restore_edges(&mut self, edges: &[(NodeId, NodeId)]) {
-        let mut added = Vec::new();
-        for &(u, v) in edges {
-            if !self.topo.has_edge(u, v) && self.topo.add_edge(u, v).is_ok() {
-                added.push((u, v));
-            }
-        }
-        let delta = TopologyDelta {
-            added,
-            ..TopologyDelta::default()
-        };
-        self.apply_delta(&delta);
-    }
-
-    fn push_followup(&mut self, due: u64, followup: Followup<P>) {
-        let seq = self.followup_seq;
-        self.followup_seq += 1;
-        self.followups.push((due, seq, followup));
-    }
-
-    /// Fires every due followup in ascending `(due, seq)` order —
-    /// before this step's scripted faults, which fire before sends.
-    fn fire_followups(&mut self) {
-        if self.followups.is_empty() {
-            return;
-        }
-        let now = self.step;
-        let mut due: Vec<(u64, u64, Followup<P>)> = Vec::new();
-        let mut i = 0;
-        while i < self.followups.len() {
-            if self.followups[i].0 <= now {
-                due.push(self.followups.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|&(d, seq, _)| (d, seq));
-        for (_, _, followup) in due {
-            self.apply_followup(followup);
-        }
-    }
-
-    fn apply_followup(&mut self, followup: Followup<P>) {
-        self.env_changed = true;
-        match followup {
-            Followup::Resurrect { node, state, links } => {
-                self.core.table.states[node.index()] = state;
-                self.core.wake_mutated(node, &self.topo);
-                let edges: Vec<(NodeId, NodeId)> = links
-                    .iter()
-                    .map(|&q| if node < q { (node, q) } else { (q, node) })
-                    .collect();
-                self.restore_edges(&edges);
-            }
-            Followup::RestoreEdges { edges } => self.restore_edges(&edges),
-            Followup::ClearLie { node } => {
-                self.core.clear_lie(&self.protocol, &self.topo, node);
-            }
-        }
-    }
-
     /// Executes one synchronous step; returns the new step count.
     pub fn step(&mut self) -> u64 {
         self.env_changed = false;
         self.core.table.changed.clear();
-        self.apply_dynamics();
-        self.fire_followups();
-        self.fire_scripted();
+        self.env_changed |= self.faults.step_edge(
+            self.step,
+            &mut self.dynamics,
+            &self.protocol,
+            &mut self.topo,
+            &mut self.core,
+        );
         let eager = !self.is_gated();
         if eager {
             // Degenerate dirty sets: everyone beacons, hears and runs —
@@ -936,14 +660,8 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// changes: protocol state is indexed by node, so nodes cannot be
     /// added or removed mid-run.
     pub fn set_topology(&mut self, topo: Topology) -> Result<(), SimError> {
-        if topo.len() != self.topo.len() {
-            return Err(SimError::NodeCountMismatch {
-                expected: self.topo.len(),
-                got: topo.len(),
-            });
-        }
-        self.topo = topo;
-        self.core.table.mark_all(&self.topo);
+        self.faults
+            .set_topology(topo, &mut self.topo, &mut self.core)?;
         self.env_changed = true;
         Ok(())
     }
@@ -985,11 +703,9 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// severed link. Use [`Network::set_topology`] to restore
     /// connectivity.
     pub fn isolate(&mut self, p: NodeId) {
-        let mut nbrs = std::mem::take(&mut self.scratch_nodes);
-        self.core
-            .isolate(&self.protocol, &mut self.topo, p, &mut nbrs);
+        self.faults
+            .isolate(p, &self.protocol, &mut self.topo, &mut self.core);
         self.env_changed = true;
-        self.scratch_nodes = nbrs;
     }
 }
 
@@ -1095,18 +811,15 @@ impl<P: Observable, M: Medium> Network<P, M> {
 impl<P: Corruptible, M: Medium> Network<P, M> {
     /// Corrupts the state of one node arbitrarily.
     pub fn corrupt(&mut self, p: NodeId) {
-        let mut rng = self.core.corrupt_rng(p);
-        self.protocol
-            .corrupt(p, &mut self.core.table.states[p.index()], &mut rng);
-        self.core.wake_mutated(p, &self.topo);
+        self.inject(&Fault::CorruptNode(p))
+            .expect("corruption keeps the node count");
     }
 
     /// Corrupts every node: the adversarial "arbitrary initial
     /// configuration" of the self-stabilization definition.
     pub fn corrupt_all(&mut self) {
-        for i in 0..self.topo.len() {
-            self.corrupt(NodeId::new(i as u32));
-        }
+        self.inject(&Fault::CorruptAll)
+            .expect("corruption keeps the node count");
     }
 
     /// Corrupts a deterministic pseudo-random subset of about
@@ -1117,13 +830,9 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     /// the same seed see identical deliveries whether or not one of
     /// them injects faults.
     pub fn corrupt_fraction(&mut self, fraction: f64) -> usize {
-        let picks = self.pick_fraction(fraction);
-        let count = picks.len();
-        for &p in &picks {
-            self.corrupt(p);
-        }
-        self.scratch_nodes = picks;
-        count
+        self.inject(&Fault::CorruptFraction(fraction))
+            .expect("corruption keeps the node count");
+        self.faults.woken.len()
     }
 
     /// Applies one [`Fault`] right now — the entry point the chaos
@@ -1141,17 +850,15 @@ impl<P: Corruptible, M: Medium> Network<P, M> {
     /// [`SimError::NodeCountMismatch`] for a [`Fault::SetTopology`]
     /// that changes the node count.
     pub fn inject(&mut self, fault: &Fault) -> Result<(), SimError> {
-        if self.corruptor.is_none() {
-            self.corruptor = Some(Box::new(
-                |protocol: &P, p, state: &mut P::State, rng: &mut StdRng| {
-                    protocol.corrupt(p, state, rng);
-                },
-            ));
-        }
-        if let Fault::SetTopology(topo) = fault {
-            return self.set_topology(topo.clone());
-        }
-        self.dispatch_fault(fault);
+        self.faults.arm_corruptor();
+        self.faults.dispatch(
+            fault,
+            self.step,
+            &self.protocol,
+            &mut self.topo,
+            &mut self.core,
+        )?;
+        self.env_changed = true;
         Ok(())
     }
 

@@ -47,7 +47,7 @@
 use mwn_graph::Topology;
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::network::Corruptor;
+use crate::faults::Corruptor;
 use crate::{
     ActorDriver, Corruptible, EventConfig, EventDriver, FaultPlan, Network, Protocol, SimError,
     WireBeacon,
@@ -150,9 +150,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     where
         P: Corruptible,
     {
-        let corruptor: Corruptor<P> =
-            Box::new(|protocol, node, state, rng| protocol.corrupt(node, state, rng));
-        self.faults = Some((plan, corruptor));
+        self.faults = Some((plan, P::corrupt));
         self
     }
 
@@ -205,7 +203,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
             net.set_shards(Some(k));
         }
         if let Some((plan, corruptor)) = self.faults {
-            net.install_script(plan.into_events(), Some(corruptor));
+            net.install_script(plan.into_events(), corruptor);
         }
         if let Some(dynamics) = self.dynamics {
             net.install_dynamics(dynamics);
@@ -247,7 +245,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         let mut driver =
             EventDriver::with_medium(self.protocol, self.medium, topology, config, self.seed);
         if let Some((plan, corruptor)) = self.faults {
-            driver.install_script(plan.into_events(), Some(corruptor));
+            driver.install_script(plan.into_events(), corruptor);
         }
         if let Some(dynamics) = self.dynamics {
             driver.install_dynamics(dynamics);
@@ -290,7 +288,7 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         let mut driver =
             ActorDriver::new(self.protocol, self.medium, topology, self.seed, threads)?;
         if let Some((plan, corruptor)) = self.faults {
-            driver.install_script(plan.into_events(), Some(corruptor));
+            driver.install_script(plan.into_events(), corruptor);
         }
         if let Some(dynamics) = self.dynamics {
             driver.install_dynamics(dynamics);

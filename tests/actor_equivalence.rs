@@ -143,7 +143,51 @@ fn actors_equal_rounds_with_scripted_faults() {
                 let mut plan = FaultPlan::new();
                 plan.at(8, Fault::CorruptFraction(0.4))
                     .at(15, Fault::Isolate(NodeId::new(5)))
-                    .at(22, Fault::CorruptAll);
+                    .at(22, Fault::CorruptAll)
+                    // Timed faults: their followups (resurrection, lie
+                    // expiry, healing) must fire on the same period
+                    // boundary on both drivers.
+                    .at(
+                        4,
+                        Fault::CrashRecover {
+                            node: NodeId::new(7),
+                            dark_for: 6,
+                        },
+                    )
+                    .at(
+                        6,
+                        Fault::ByzantineBeacon {
+                            node: NodeId::new(11),
+                            lie: Lie::Forged,
+                            until: 12,
+                        },
+                    )
+                    .at(
+                        13,
+                        Fault::ByzantineBeacon {
+                            node: NodeId::new(2),
+                            lie: Lie::Replayed,
+                            until: 17,
+                        },
+                    )
+                    .at(
+                        18,
+                        Fault::PartitionHeal {
+                            cut: (0..20).map(NodeId::new).collect(),
+                            heal_at: 24,
+                        },
+                    )
+                    .at(
+                        25,
+                        Fault::Jam {
+                            region: Region::Disk {
+                                x: 0.5,
+                                y: 0.5,
+                                r: 0.2,
+                            },
+                            until: 28,
+                        },
+                    );
                 Scenario::new(DensityCluster::new(event_driven_config()))
                     .topology(topo.clone())
                     .seed(6)

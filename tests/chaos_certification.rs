@@ -56,6 +56,23 @@ impl Corruptible for MaxFlood {
     }
 }
 
+/// `Certificate::to_json()` of the smoke campaign in
+/// [`one_campaign_certifies_clean_on_all_three_drivers`], pinned byte
+/// for byte. All three drivers emit this exact certificate, differing
+/// only in the `driver` label: any drift in fault dispatch, followup
+/// timing or the fault streams shows up here as a byte difference.
+const GOLDEN_CERTIFICATE: &str = concat!(
+    r#"{"protocol":"max-flood","medium":"perfect","driver":"{driver}","seed":7,"injections":6,"initially_stabilized":true,"closure_checks":2,"closure_violations":0,"stale_after_audit":0,"worst_restabilization":4.0,"clean":true,"classes":["#,
+    r#"{"class":"corrupt-fraction","injections":1,"restabilized":1,"p50":1.0,"p95":1.0,"worst":1.0,"wilson_low":0.2065,"wilson_high":1.0000},"#,
+    r#"{"class":"corrupt-node","injections":3,"restabilized":3,"p50":1.0,"p95":1.0,"worst":1.0,"wilson_low":0.4385,"wilson_high":1.0000},"#,
+    r#"{"class":"crash-recover","injections":1,"restabilized":1,"p50":2.0,"p95":2.0,"worst":2.0,"wilson_low":0.2065,"wilson_high":1.0000},"#,
+    r#"{"class":"partition-heal","injections":1,"restabilized":1,"p50":4.0,"p95":4.0,"worst":4.0,"wilson_low":0.2065,"wilson_high":1.0000}]}"#,
+);
+
+fn golden_certificate(driver: &str) -> String {
+    GOLDEN_CERTIFICATE.replace("{driver}", driver)
+}
+
 fn deployment() -> Topology {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -119,6 +136,13 @@ fn one_campaign_certifies_clean_on_all_three_drivers() {
     // All three cells saw the identical script.
     assert_eq!(round.injections, event.injections);
     assert_eq!(round.injections, actor.injections);
+    for (cert, driver) in [(&round, "round"), (&event, "events"), (&actor, "actors")] {
+        assert_eq!(
+            cert.to_json(),
+            golden_certificate(driver),
+            "{driver} certificate drifted from the recorded golden"
+        );
+    }
 }
 
 #[test]

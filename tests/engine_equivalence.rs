@@ -407,6 +407,94 @@ fn event_driver_gated_equals_eager_trajectories() {
 }
 
 #[test]
+fn event_driver_gated_equals_eager_under_topology_and_adversary_faults() {
+    // Every fault here rewires links or lies on the air, and every
+    // timed one schedules a followup on the continuous clock: gating
+    // must stay unobservable through all of them, sampled mid-period.
+    // State corruptions are left out on purpose: frames the eager twin
+    // already has in flight at the fault instant repair a victim
+    // before its silent gated twin's neighbors re-broadcast, so after
+    // a corruption only the fixpoint is byte-identical, not the
+    // trajectory in between (the fixpoint case is covered by
+    // `event_driver_gated_equals_eager_trajectories`).
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let topo = builders::uniform(45, 0.18, &mut rng);
+    let plan = || {
+        let mut plan = FaultPlan::new();
+        plan.at(20, Fault::Isolate(NodeId::new(3)))
+            .at(
+                38,
+                Fault::CrashRecover {
+                    node: NodeId::new(7),
+                    dark_for: 6,
+                },
+            )
+            .at(
+                46,
+                Fault::ByzantineBeacon {
+                    node: NodeId::new(11),
+                    lie: Lie::Forged,
+                    until: 50,
+                },
+            )
+            .at(
+                52,
+                Fault::ByzantineBeacon {
+                    node: NodeId::new(2),
+                    lie: Lie::Replayed,
+                    until: 57,
+                },
+            )
+            .at(
+                54,
+                Fault::PartitionHeal {
+                    cut: (0..20).map(NodeId::new).collect(),
+                    heal_at: 60,
+                },
+            )
+            .at(
+                64,
+                Fault::Jam {
+                    region: Region::Disk {
+                        x: 0.5,
+                        y: 0.5,
+                        r: 0.2,
+                    },
+                    until: 68,
+                },
+            );
+        plan
+    };
+    for seed in 6..=8 {
+        let build = |eager: bool| {
+            let mut driver = Scenario::new(DensityCluster::new(event_driven_config()))
+                .medium(BernoulliLoss::new(0.75))
+                .topology(topo.clone())
+                .seed(seed)
+                .faults(plan())
+                .build_events(EventConfig::default())
+                .expect("valid event scenario");
+            driver.set_eager(eager);
+            driver
+        };
+        let mut gated = build(false);
+        let mut eager = build(true);
+        assert!(gated.is_gated() && !eager.is_gated());
+        for k in 0..85 {
+            let t = k as f64 + 0.5;
+            gated.run_until_time(t);
+            eager.run_until_time(t);
+            assert_eq!(
+                gated.states(),
+                eager.states(),
+                "seed {seed}: trajectories diverged at t = {t}"
+            );
+        }
+        assert_eq!(gated.topology(), eager.topology(), "seed {seed}");
+    }
+}
+
+#[test]
 fn event_driver_silence_is_total_after_stabilization() {
     // The acceptance criterion for the continuous clock: once a gated
     // network stabilizes, the event queue drains — a long quiet

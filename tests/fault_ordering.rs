@@ -354,3 +354,40 @@ fn actor_isolation_applies_before_the_same_periods_frames() {
         assert_eq!(*actors.state(NodeId::new(4)), 4, "threads={threads}");
     }
 }
+
+#[test]
+fn inject_rejects_a_resize_on_every_driver() {
+    // Protocol state is indexed by node, so a topology with one node
+    // more is a typed error on every driver — and a no-op: states,
+    // topology and clock stay exactly as they were.
+    let topo = builders::line(6);
+    let resize = Fault::SetTopology(builders::line(7));
+    let mismatch = Err(SimError::NodeCountMismatch {
+        expected: 6,
+        got: 7,
+    });
+    let scenario = || Scenario::new(MaxFlood).topology(topo.clone()).seed(3);
+
+    let mut net = scenario().build().expect("valid scenario");
+    net.run(2);
+    let (states, now) = (net.states().to_vec(), net.now());
+    assert_eq!(net.inject(&resize), mismatch, "round driver");
+    assert_eq!((net.states(), net.now()), (&states[..], now));
+    assert_eq!(net.topology(), &topo);
+
+    let mut events = scenario()
+        .build_events(EventConfig::default())
+        .expect("valid event scenario");
+    events.run_until_time(2.5);
+    let (states, time) = (events.states().to_vec(), events.time());
+    assert_eq!(events.inject(&resize), mismatch, "event driver");
+    assert_eq!((events.states(), events.time()), (&states[..], time));
+    assert_eq!(events.topology(), &topo);
+
+    let mut actors = scenario().build_actors(2).expect("valid actor scenario");
+    actors.run(2);
+    let (states, now) = (actors.states().to_vec(), actors.now());
+    assert_eq!(actors.inject(&resize), mismatch, "actor driver");
+    assert_eq!((actors.states(), actors.now()), (&states[..], now));
+    assert_eq!(actors.topology(), &topo);
+}
