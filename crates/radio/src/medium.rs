@@ -151,11 +151,11 @@ pub trait Medium {
     ///
     /// Both clocks honor this flag. The synchronous round driver uses
     /// it to gate quiescent senders without perturbing anyone else's
-    /// frames; the continuous-time event driver additionally selects
-    /// its channel by it — independent-fates media are evaluated once
-    /// per transmission on a derived per-(slot, sender) stream
-    /// ([`Medium::deliver_from`]), while contention-coupled media fall
-    /// back to the driver's built-in overlap-collision model.
+    /// frames; the continuous-time event driver evaluates
+    /// independent-fates media once per transmission on a derived
+    /// per-(slot, sender) stream ([`Medium::deliver_from`]) and rejects
+    /// a medium that has neither this flag nor
+    /// [`Medium::gated_contention`].
     fn independent_fates(&self) -> bool {
         false
     }

@@ -61,13 +61,13 @@ use mwn_radio::{Medium, PerfectMedium};
 
 use crate::engine::{run_pooled, ActivityCore, NodeSet};
 use crate::error::SimError;
-use crate::faults::{Corruptor, Fault, FaultEngine};
+use crate::faults::{Fault, FaultEngine};
 use crate::network::StepActivity;
 use crate::observable::Observable;
 use crate::protocol::{Activity, Corruptible, Protocol};
 use crate::rng::derive_seed;
-use crate::scenario::TopologyDynamics;
-use crate::stop::{Obs, RunReport, StopWhen};
+use crate::scenario::{Dynamics, Install};
+use crate::stop::{RoundClock, RunReport, StopWhen};
 use crate::wire::WireBeacon;
 
 /// One serialized beacon in flight: the wire bytes plus the routing
@@ -153,7 +153,7 @@ pub struct ActorDriver<P: Protocol, M: Medium = PerfectMedium> {
     mailboxes: Vec<Mailbox>,
     /// Scripted faults, their followups and every injected fault.
     faults: FaultEngine<P>,
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    dynamics: Dynamics,
     env_changed: bool,
     messages_total: u64,
     last_activity: StepActivity,
@@ -191,18 +191,12 @@ where
         threads: usize,
     ) -> Result<Self, SimError> {
         if !medium.proxyable() {
-            let status = if medium.gated_contention() {
-                "its gated-contention contract (statistical slot occupancy) \
-                 covers the round and event drivers only"
-            } else {
-                "it offers no gated-contention contract either"
-            };
-            return Err(SimError::InvalidConfig(format!(
-                "medium `{}` cannot back the actor driver: per-sender frame \
-                 fates must be evaluable through a shared reference \
-                 (Medium::proxyable), and {status}",
-                medium.name()
-            )));
+            return Err(SimError::unsupported_medium(
+                &medium,
+                "actor driver",
+                "per-sender frame fates must be evaluable through a shared \
+                 reference (Medium::proxyable)",
+            ));
         }
         let core = ActivityCore::new(&protocol, &topo, seed);
         let mailboxes = topo.nodes().map(|_| Mailbox::default()).collect();
@@ -226,14 +220,6 @@ where
             touched: NodeSet::new(topo.len()),
             topo,
         })
-    }
-
-    pub(crate) fn install_script(&mut self, script: Vec<(u64, Fault)>, hook: Corruptor<P>) {
-        self.faults.install(script, hook);
-    }
-
-    pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
-        self.dynamics = Some(dynamics);
     }
 
     /// `true` when the driver is currently using dirty-set (gated)
@@ -477,24 +463,6 @@ where
         }
     }
 
-    /// Runs until `pred` holds (checked before the first period and
-    /// after every period), or `max_periods` is reached.
-    pub fn run_until<F>(&mut self, mut pred: F, max_periods: u64) -> Option<u64>
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        if pred(self) {
-            return Some(self.period);
-        }
-        while self.period < max_periods {
-            self.step();
-            if pred(self) {
-                return Some(self.period);
-            }
-        }
-        None
-    }
-
     /// Current period count (the governor's virtual clock).
     pub fn now(&self) -> u64 {
         self.period
@@ -596,29 +564,42 @@ fn merge_candidates(dirty: &[NodeId], touched: &[NodeId]) -> Vec<(NodeId, bool)>
     out
 }
 
+impl<P: Protocol, M: Medium> Install<P> for ActorDriver<P, M> {
+    fn install_slots(&mut self) -> (&mut FaultEngine<P>, &mut Dynamics) {
+        (&mut self.faults, &mut self.dynamics)
+    }
+}
+
+impl<P, M> RoundClock<P> for ActorDriver<P, M>
+where
+    P: Protocol,
+    P::Beacon: WireBeacon,
+    M: Medium + Sync,
+{
+    fn step(&mut self) -> u64 {
+        ActorDriver::step(self)
+    }
+    fn now(&self) -> u64 {
+        self.period
+    }
+    fn is_gated(&self) -> bool {
+        ActorDriver::is_gated(self)
+    }
+    fn view(&self) -> (&P, &Topology, &ActivityCore<P>, bool) {
+        (&self.protocol, &self.topo, &self.core, self.env_changed)
+    }
+}
+
 impl<P, M> ActorDriver<P, M>
 where
     P: Observable,
     P::Beacon: WireBeacon,
     M: Medium + Sync,
 {
-    /// Projects every node's observable output into `buf`.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(
-            self.core
-                .table
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)),
-        );
-    }
-
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
-        self.outputs_into(&mut buf);
+        let mut buf = Vec::new();
+        self.core.outputs_into(&self.protocol, &mut buf);
         buf
     }
 
@@ -626,60 +607,7 @@ where
     /// same contract (and the same [`RunReport`]) as
     /// [`crate::Network::run_to`] and the event driver's stop methods.
     pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let start = self.period;
-        let mut cursor = stop.cursor();
-        let gated = self.is_gated();
-        let needs_outputs = stop.needs_outputs();
-        let mut outputs: Vec<P::Output> = Vec::with_capacity(self.core.table.states.len());
-        if needs_outputs {
-            self.outputs_into(&mut outputs);
-        }
-        let mut verdict = cursor.observe(
-            self.period,
-            0,
-            &self.topo,
-            &self.core.table.states,
-            &Obs::Full { outputs: &outputs },
-        );
-        while !verdict.satisfied {
-            self.step();
-            let obs = if gated {
-                let mut output_changed = false;
-                if needs_outputs {
-                    for &p in &self.core.table.changed {
-                        let fresh = self.protocol.output(p, &self.core.table.states[p.index()]);
-                        if outputs[p.index()] != fresh {
-                            outputs[p.index()] = fresh;
-                            output_changed = true;
-                        }
-                    }
-                }
-                Obs::Delta {
-                    output_changed,
-                    state_changed: !self.core.table.changed.is_empty(),
-                    env_changed: self.env_changed,
-                }
-            } else {
-                if needs_outputs {
-                    self.outputs_into(&mut outputs);
-                }
-                Obs::Full { outputs: &outputs }
-            };
-            verdict = cursor.observe(
-                self.period,
-                self.period - start,
-                &self.topo,
-                &self.core.table.states,
-                &obs,
-            );
-        }
-        RunReport {
-            stabilized: cursor.stabilized(),
-            steps: self.period - start,
-            end_step: self.period,
-            satisfied: !verdict.budget_only,
-            timed_out: verdict.budget_only,
-        }
+        crate::stop::run_to(self, stop)
     }
 }
 
@@ -725,7 +653,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{Scenario, TopologyDynamics};
     use crate::stop::StopWhen;
     use mwn_graph::builders;
     use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
@@ -927,9 +855,12 @@ mod tests {
         }
         let before = Topology::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let after = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let mut driver = ActorDriver::new(GatedFlood, PerfectMedium, before.clone(), 4, 2)
-            .expect("valid actor driver");
-        driver.install_dynamics(Box::new(Bridge { before, after }));
+        let mut driver = Scenario::new(GatedFlood)
+            .topology(before.clone())
+            .seed(4)
+            .mobility(Bridge { before, after })
+            .build_actors(2)
+            .expect("valid actor scenario");
         // Before the bridge: the fragments converge separately.
         driver.run(5);
         assert_eq!(*driver.state(NodeId::new(0)), 1, "no link yet");

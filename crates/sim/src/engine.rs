@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::rng::{derive_seed, split_rng, streams};
-use crate::Protocol;
+use crate::{Observable, Protocol};
 
 use kernels::{BitWords, HeardTable};
 
@@ -532,6 +532,21 @@ impl<P: Protocol> ActivityCore<P> {
                 .map(|idx| self.table.heard.get(r.index(), idx) == epoch)
                 .unwrap_or(true)
         })
+    }
+}
+
+impl<P: Observable> ActivityCore<P> {
+    /// Projects every node's observable output into `buf` (cleared
+    /// first) — the one output projection all three drivers share.
+    pub fn outputs_into(&self, protocol: &P, buf: &mut Vec<P::Output>) {
+        buf.clear();
+        buf.extend(
+            self.table
+                .states
+                .iter()
+                .enumerate()
+                .map(|(i, s)| protocol.output(NodeId::new(i as u32), s)),
+        );
     }
 }
 

@@ -1,5 +1,7 @@
 //! Typed errors for scenario construction and topology edits.
 
+use mwn_radio::Medium;
+
 /// Why a scenario could not be built or a network edit was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
@@ -17,6 +19,24 @@ pub enum SimError {
     /// A configuration check rejected the scenario (protocol
     /// validation hook or event-driver parameters).
     InvalidConfig(String),
+}
+
+impl SimError {
+    /// The rejection of a medium a driver cannot evaluate frame by
+    /// frame: names the medium, what the `driver` needs of it, and its
+    /// gated-contention status.
+    pub(crate) fn unsupported_medium<M: Medium>(medium: &M, driver: &str, needs: &str) -> Self {
+        let status = if medium.gated_contention() {
+            "its gated-contention contract (statistical slot occupancy) \
+             covers the round and event drivers only"
+        } else {
+            "it offers no gated-contention contract either"
+        };
+        SimError::InvalidConfig(format!(
+            "medium `{}` cannot back the {driver}: {needs}, and {status}",
+            medium.name()
+        ))
+    }
 }
 
 impl std::fmt::Display for SimError {

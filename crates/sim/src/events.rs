@@ -6,21 +6,18 @@ use mwn_radio::{Delivery, Medium, PerfectMedium};
 use rand::Rng;
 
 use crate::engine::{ActivityCore, NodeSet, SlotClock};
-use crate::faults::{Corruptor, FaultEngine};
-use crate::rng::{derive_seed, split_rng, streams};
-use crate::scenario::TopologyDynamics;
+use crate::faults::FaultEngine;
+use crate::rng::{derive_seed, streams};
+use crate::scenario::{Dynamics, Install};
 use crate::{Activity, Corruptible, Fault, Protocol, SimError, StabilityTracker};
 
 /// Parameters of the continuous-time execution model.
 ///
 /// Nodes rebroadcast their shared variables at randomized intervals
 /// (the timed discipline with "randomization to avoid collision" of
-/// Herman & Tixeuil \[11\], which the paper adopts in Section 4). Frames
-/// have a positive duration; under the built-in **collision channel**
-/// two frames that overlap in time at a receiver collide and are both
-/// lost there, while under a **medium channel**
-/// ([`EventDriver::with_medium`]) the per-copy fate comes from the
-/// [`Medium`] instead.
+/// Herman & Tixeuil \[11\], which the paper adopts in Section 4). The
+/// [`Medium`] decides each frame copy's fate when the frame is sent;
+/// the surviving copies arrive one `frame_time` later.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EventConfig {
     /// Mean time between two beacon opportunities of the same node.
@@ -28,9 +25,11 @@ pub struct EventConfig {
     /// Relative jitter: consecutive beacon slots of a node are
     /// `beacon_period · (1 ± jitter)` apart (mean exactly one period).
     pub jitter: f64,
-    /// Time a frame occupies the channel at a receiver.
+    /// Arrival delay: the time from a beacon slot until its frame
+    /// copies reach their receivers.
     pub frame_time: f64,
-    /// Additional independent per-copy loss probability (0 = none).
+    /// Additional independent per-copy loss probability (0 = none),
+    /// drawn after the medium's own fate.
     pub extra_loss: f64,
 }
 
@@ -50,15 +49,15 @@ impl EventConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the violated constraint (non-positive
-    /// period or frame time, jitter outside `[0, 1)`, loss outside
-    /// `[0, 1)`).
+    /// Returns a description of the violated constraint (period or
+    /// frame time not finite and positive, jitter outside `[0, 1)`,
+    /// loss outside `[0, 1)`). NaN fails every range.
     pub fn check(&self) -> Result<(), String> {
-        if self.beacon_period <= 0.0 {
-            return Err("beacon period must be positive".to_string());
+        if !(self.beacon_period.is_finite() && self.beacon_period > 0.0) {
+            return Err("beacon period must be finite and positive".to_string());
         }
-        if self.frame_time <= 0.0 {
-            return Err("frame time must be positive".to_string());
+        if !(self.frame_time.is_finite() && self.frame_time > 0.0) {
+            return Err("frame time must be finite and positive".to_string());
         }
         if !(0.0..1.0).contains(&self.jitter) {
             return Err("jitter must be in [0, 1)".to_string());
@@ -67,18 +66,6 @@ impl EventConfig {
             return Err("extra loss must be in [0, 1)".to_string());
         }
         Ok(())
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is out of range; see
-    /// [`EventConfig::check`] for the non-panicking form.
-    pub fn validate(&self) {
-        if let Err(why) = self.check() {
-            panic!("{why}");
-        }
     }
 }
 
@@ -125,12 +112,10 @@ impl Ord for EventKey {
 enum EventKind<B> {
     /// Node `node`'s beacon slot number `slot` fires.
     Tx { node: NodeId, slot: u64 },
-    /// A frame sent by `sender` at `tx_time` finishes arriving at
-    /// `receiver`.
+    /// A frame sent by `sender` arrives at `receiver`.
     Rx {
         receiver: NodeId,
         sender: NodeId,
-        tx_time: f64,
         /// The sender's beacon epoch at transmission time — what the
         /// receiver's reception row records on incorporation.
         tx_epoch: u32,
@@ -165,24 +150,22 @@ impl<B> Ord for Event<B> {
 ///
 /// This realizes the asynchronous execution model under which the
 /// paper's expected-constant-time results (Theorem 1, Lemmas 1–2) are
-/// stated: beacons at randomized intervals, frames with real duration,
-/// and a channel in which the per-frame success probability is some
-/// τ > 0 — exactly the paper's hypothesis (read it off
+/// stated: beacons at randomized intervals, frames with a real arrival
+/// delay, and a channel in which the per-frame success probability is
+/// some τ > 0 — exactly the paper's hypothesis (read it off
 /// [`EventDriver::measured_tau`]).
 ///
-/// # Two channels
+/// # The channel
 ///
-/// * the **collision channel** ([`EventDriver::new`]): receiver-side
-///   overlap collisions (hidden terminals included) and half-duplex
-///   radios — τ is *emergent*. Frame fates are contention-coupled, so
-///   activity gating is off: every node keeps beaconing.
-/// * a **medium channel** ([`EventDriver::with_medium`], what
-///   [`crate::Scenario::build_events`] builds): the scenario's
-///   [`Medium`] decides each copy's fate from a derived
-///   per-(slot, sender) stream. When the medium has
-///   [`Medium::independent_fates`] *and* the protocol declares
-///   [`Activity::Gated`], silent nodes stop scheduling beacon slots
-///   altogether.
+/// The scenario's [`Medium`] decides each copy's fate from a derived
+/// per-(slot, sender) stream, so a frame's fate never depends on which
+/// other nodes happen to be transmitting. That is what lets a
+/// protocol declaring [`Activity::Gated`] mute its silent nodes: they
+/// stop scheduling beacon slots altogether. Media with
+/// [`Medium::independent_fates`] are evaluated directly; media with
+/// the gated-contention contract ([`Medium::gated_contention`]) fold
+/// every other in-range radio in as a statistical contender.
+/// [`EventDriver::with_medium`] rejects media with neither.
 ///
 /// # O(active) scheduling
 ///
@@ -201,7 +184,7 @@ impl<B> Ord for Event<B> {
 /// `tests/engine_equivalence.rs`. After stabilization the queue drains
 /// to empty: a quiet interval costs zero messages and O(1) work.
 ///
-/// Scripted faults and [`TopologyDynamics`] (mobility) fire at
+/// Scripted faults and [`crate::TopologyDynamics`] (mobility) fire at
 /// logical-step boundaries (multiples of the beacon period),
 /// interleaved with the event queue in time order.
 ///
@@ -209,7 +192,7 @@ impl<B> Ord for Event<B> {
 ///
 /// ```
 /// use mwn_graph::builders;
-/// use mwn_sim::{EventConfig, EventDriver, Protocol};
+/// use mwn_sim::{EventConfig, Protocol, Scenario};
 /// use mwn_graph::NodeId;
 /// use rand::rngs::StdRng;
 ///
@@ -225,8 +208,11 @@ impl<B> Ord for Event<B> {
 ///     fn update(&self, _n: NodeId, _s: &mut u32, _now: u64, _rng: &mut StdRng) {}
 /// }
 ///
-/// let topo = builders::line(5);
-/// let mut driver = EventDriver::new(MaxFlood, topo, EventConfig::default(), 3);
+/// let mut driver = Scenario::new(MaxFlood)
+///     .topology(builders::line(5))
+///     .seed(3)
+///     .build_events(EventConfig::default())
+///     .expect("valid event scenario");
 /// driver.run_until_time(30.0);
 /// assert!(driver.states().iter().all(|&s| s == 4));
 /// ```
@@ -239,17 +225,12 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     core: ActivityCore<P>,
     /// The stateless beacon-slot schedule.
     clock: SlotClock,
-    /// `Some` = medium channel; `None` = built-in collision channel.
-    medium: Option<M>,
+    medium: M,
     /// `true` when the user pinned the driver to eager scheduling.
     force_eager: bool,
     queue: BinaryHeap<Event<P::Beacon>>,
     /// Whether a node currently has a beacon-slot event in the queue.
     tx_armed: Vec<bool>,
-    /// Recent transmission times per node (collision channel only).
-    tx_history: Vec<Vec<f64>>,
-    /// Base of the per-frame extra-loss streams.
-    loss_base: u64,
     /// Scratch delivery for per-sender medium evaluation.
     delivery: Delivery,
     /// Scratch state snapshot for change detection under gating.
@@ -272,25 +253,19 @@ pub struct EventDriver<P: Protocol, M: Medium = PerfectMedium> {
     faults: FaultEngine<P>,
     /// Mobility (or other topology dynamics), ticked once per beacon
     /// period at logical-step boundaries.
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    dynamics: Dynamics,
     dynamics_step: u64,
     /// Nodes whose state changed since the last stability sample —
     /// what makes quiet-interval sampling O(changed), not O(n).
     changed_since: NodeSet,
 }
 
-impl<P: Protocol> EventDriver<P, PerfectMedium> {
-    /// Creates the driver over the built-in **collision channel** with
-    /// cold-start states; the first beacon slot of each node falls at a
-    /// random phase within one period (nodes are *not* synchronized).
-    pub fn new(protocol: P, topo: Topology, config: EventConfig, seed: u64) -> Self {
-        Self::build(protocol, None, topo, config, seed)
-    }
-}
-
 impl<P: Protocol, M: Medium> EventDriver<P, M> {
-    /// Creates the driver with the frame fates decided by `medium`
-    /// (the channel [`crate::Scenario::build_events`] wires up).
+    /// Creates the driver with cold-start states and the frame fates
+    /// decided by `medium` (the channel
+    /// [`crate::Scenario::build_events`] wires up). The first beacon
+    /// slot of each node falls at a random phase within one period
+    /// (nodes are *not* synchronized).
     ///
     /// Media with [`Medium::independent_fates`] — perfect, Bernoulli,
     /// fading — are evaluated once per transmission on a derived
@@ -301,30 +276,29 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     /// contender ([`mwn_radio::FullOccupancy`]) — on the continuous
     /// clock the eager twin beacons every period, so the full in-range
     /// population always contends, and gating extends to them too.
-    /// Contention-coupled media with neither flag (e.g.
-    /// [`mwn_radio::Thinned`]-wrapped CSMA) have no per-sender
-    /// continuous-time semantics; for them the driver falls back to
-    /// the built-in collision channel, which models contention
-    /// directly.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] when `config` fails
+    /// [`EventConfig::check`], or when the medium has neither contract
+    /// (e.g. [`mwn_radio::Thinned`]-wrapped CSMA): such a medium has no
+    /// per-sender continuous-time semantics. The message names the
+    /// medium and its contract status.
     pub fn with_medium(
         protocol: P,
         medium: M,
         topo: Topology,
         config: EventConfig,
         seed: u64,
-    ) -> Self {
-        let medium = (medium.independent_fates() || medium.gated_contention()).then_some(medium);
-        Self::build(protocol, medium, topo, config, seed)
-    }
-
-    fn build(
-        protocol: P,
-        medium: Option<M>,
-        topo: Topology,
-        config: EventConfig,
-        seed: u64,
-    ) -> Self {
-        config.validate();
+    ) -> Result<Self, SimError> {
+        config.check().map_err(SimError::InvalidConfig)?;
+        if !(medium.independent_fates() || medium.gated_contention()) {
+            return Err(SimError::unsupported_medium(
+                &medium,
+                "event driver",
+                "frame fates must be independent per copy (Medium::independent_fates)",
+            ));
+        }
         let n = topo.len();
         let core = ActivityCore::new(&protocol, &topo, seed);
         let clock = SlotClock::new(seed, config.beacon_period, config.jitter, n);
@@ -338,8 +312,6 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
             force_eager: false,
             queue: BinaryHeap::new(),
             tx_armed: vec![false; n],
-            tx_history: vec![Vec::new(); n],
-            loss_base: derive_seed(seed, streams::EXTRA_LOSS),
             delivery: Delivery::empty(n),
             scratch_state: None,
             scratch_nodes: Vec::new(),
@@ -356,15 +328,7 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         // Cold start: everyone has something to say (the table marks
         // all nodes send-pending), so everyone gets a first slot.
         driver.arm_pending();
-        driver
-    }
-
-    pub(crate) fn install_script(&mut self, script: Vec<(u64, Fault)>, hook: Corruptor<P>) {
-        self.faults.install(script, hook);
-    }
-
-    pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
-        self.dynamics = Some(dynamics);
+        Ok(driver)
     }
 
     /// Detaches any topology dynamics attached by
@@ -374,11 +338,11 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         self.dynamics.take().is_some()
     }
 
-    /// `true` when the driver currently mutes silent nodes: a medium
-    /// channel (independent fates or gated contention), a protocol
-    /// under the [`Activity::Gated`] contract, and no eager pin.
+    /// `true` when the driver currently mutes silent nodes: a protocol
+    /// under the [`Activity::Gated`] contract and no eager pin (every
+    /// accepted medium supports gating).
     pub fn is_gated(&self) -> bool {
-        !self.force_eager && self.medium.is_some() && self.protocol.activity() == Activity::Gated
+        !self.force_eager && self.protocol.activity() == Activity::Gated
     }
 
     /// Pins the driver to eager scheduling (`true`) or restores the
@@ -560,10 +524,9 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
                     EventKind::Rx {
                         receiver,
                         sender,
-                        tx_time,
                         tx_epoch,
                         beacon,
-                    } => self.handle_rx(receiver, sender, tx_time, tx_epoch, &beacon),
+                    } => self.handle_rx(receiver, sender, tx_epoch, &beacon),
                 }
             }
         }
@@ -622,81 +585,51 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         let beacon = self.core.table.beacons[p.index()].clone();
         let degree = self.topo.degree(p);
         self.frames_attempted += degree as u64;
-        if let Some(medium) = self.medium.as_mut() {
-            // Medium channel: one derived stream per (slot, sender)
-            // decides every copy's fate — independent of who else is
-            // transmitting, which is what keeps muted senders
-            // unobservable. Gated-contention media fold the full
-            // in-range population in as statistical contenders
-            // (FullOccupancy): the eager twin beacons every period, so
-            // using the same per-frame law in both modes keeps gating
-            // unobservable there too.
-            let mut rng = self.core.medium_rng(slot, p);
-            self.delivery.reset(self.topo.len());
-            if medium.gated_contention() {
-                let streams = self.core.contention_streams(slot);
-                medium.deliver_from_occupied(
-                    &self.topo,
-                    p,
-                    &mwn_radio::FullOccupancy,
-                    &streams,
-                    &mut self.delivery,
-                );
-            } else {
-                medium.deliver_from(&self.topo, p, &mut rng, &mut self.delivery);
-            }
-            let arrival = t + self.config.frame_time;
-            for i in 0..self.delivery.touched.len() {
-                let r = self.delivery.touched[i];
-                if self.delivery.heard[r.index()].is_empty() {
-                    continue;
-                }
-                if self.config.extra_loss > 0.0 && rng.random_bool(self.config.extra_loss) {
-                    continue;
-                }
-                self.queue.push(Event {
-                    key: EventKey {
-                        time: arrival,
-                        class: 0,
-                        a: r.value(),
-                        b: p.value(),
-                    },
-                    kind: EventKind::Rx {
-                        receiver: r,
-                        sender: p,
-                        tx_time: t,
-                        tx_epoch: epoch,
-                        beacon: beacon.clone(),
-                    },
-                });
-            }
+        // One derived stream per (slot, sender) decides every copy's
+        // fate — independent of who else is transmitting, which is what
+        // keeps muted senders unobservable. Gated-contention media fold
+        // the full in-range population in as statistical contenders
+        // (FullOccupancy): the eager twin beacons every period, so using
+        // the same per-frame law in both modes keeps gating unobservable
+        // there too.
+        let mut rng = self.core.medium_rng(slot, p);
+        self.delivery.reset(self.topo.len());
+        if self.medium.gated_contention() {
+            let streams = self.core.contention_streams(slot);
+            self.medium.deliver_from_occupied(
+                &self.topo,
+                p,
+                &mwn_radio::FullOccupancy,
+                &streams,
+                &mut self.delivery,
+            );
         } else {
-            // Collision channel: record the transmission, prune history
-            // older than one collision window, and let every in-range
-            // copy race to its receiver.
-            let history = &mut self.tx_history[p.index()];
-            history.push(t);
-            let horizon = t - 4.0 * self.config.frame_time;
-            history.retain(|&x| x >= horizon);
-            let arrival = t + self.config.frame_time;
-            for i in 0..self.topo.degree(p) {
-                let r = self.topo.neighbors(p)[i];
-                self.queue.push(Event {
-                    key: EventKey {
-                        time: arrival,
-                        class: 0,
-                        a: r.value(),
-                        b: p.value(),
-                    },
-                    kind: EventKind::Rx {
-                        receiver: r,
-                        sender: p,
-                        tx_time: t,
-                        tx_epoch: epoch,
-                        beacon: beacon.clone(),
-                    },
-                });
+            self.medium
+                .deliver_from(&self.topo, p, &mut rng, &mut self.delivery);
+        }
+        let arrival = t + self.config.frame_time;
+        for i in 0..self.delivery.touched.len() {
+            let r = self.delivery.touched[i];
+            if self.delivery.heard[r.index()].is_empty() {
+                continue;
             }
+            if self.config.extra_loss > 0.0 && rng.random_bool(self.config.extra_loss) {
+                continue;
+            }
+            self.queue.push(Event {
+                key: EventKey {
+                    time: arrival,
+                    class: 0,
+                    a: r.value(),
+                    b: p.value(),
+                },
+                kind: EventKind::Rx {
+                    receiver: r,
+                    sender: p,
+                    tx_epoch: epoch,
+                    beacon: beacon.clone(),
+                },
+            });
         }
         // Schedule the next slot; under gating a later pop decides
         // whether it still has anything to say.
@@ -715,45 +648,14 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
         });
     }
 
-    fn handle_rx(&mut self, r: NodeId, s: NodeId, tx_time: f64, tx_epoch: u32, beacon: &P::Beacon) {
+    fn handle_rx(&mut self, r: NodeId, s: NodeId, tx_epoch: u32, beacon: &P::Beacon) {
         // The link may have vanished while the frame was in flight
         // (mobility, isolation): radio range is a hard constraint.
         let Ok(idx) = self.topo.neighbors(r).binary_search(&s) else {
             return;
         };
-        if self.medium.is_none() {
-            // Collision channel: the frame occupied
-            // (tx_time, tx_time + frame_time) at r. It is lost if r
-            // itself, or any other neighbor of r, transmitted within
-            // one frame_time of tx_time (overlapping frames), or to
-            // the configured extra loss.
-            let window = |times: &[f64]| {
-                times
-                    .iter()
-                    .any(|&x| (x - tx_time).abs() < self.config.frame_time)
-            };
-            if window(&self.tx_history[r.index()]) {
-                return; // half-duplex: r was talking
-            }
-            for &q in self.topo.neighbors(r) {
-                if q != s && window(&self.tx_history[q.index()]) {
-                    return; // collision (possibly a hidden terminal)
-                }
-            }
-            if self.config.extra_loss > 0.0 {
-                let mut rng = split_rng(
-                    self.loss_base,
-                    tx_time.to_bits(),
-                    (u64::from(s.value()) << 32) | u64::from(r.value()),
-                );
-                if rng.random_bool(self.config.extra_loss) {
-                    return;
-                }
-            }
-        }
-        // Counted here, after the channel checks *and* the in-flight
-        // link check above, so both channels agree on what "delivered"
-        // means — a frame whose link vanished mid-flight never counts.
+        // Counted here, after the in-flight link check, so a frame whose
+        // link vanished mid-flight never counts as delivered.
         self.frames_delivered += 1;
         let gated = self.is_gated();
         let fresh = self.core.table.heard.get(r.index(), idx) != tx_epoch;
@@ -943,25 +845,17 @@ impl<P: Protocol, M: Medium> EventDriver<P, M> {
     }
 }
 
-impl<P: crate::Observable, M: Medium> EventDriver<P, M> {
-    /// Projects every node's observable output into `buf` (cleared
-    /// first); the buffer can be reused across samples.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(
-            self.core
-                .table
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)),
-        );
+impl<P: Protocol, M: Medium> Install<P> for EventDriver<P, M> {
+    fn install_slots(&mut self) -> (&mut FaultEngine<P>, &mut Dynamics) {
+        (&mut self.faults, &mut self.dynamics)
     }
+}
 
+impl<P: crate::Observable, M: Medium> EventDriver<P, M> {
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
-        self.outputs_into(&mut buf);
+        let mut buf = Vec::new();
+        self.core.outputs_into(&self.protocol, &mut buf);
         buf
     }
 
@@ -1018,8 +912,9 @@ impl<P: Corruptible, M: Medium> EventDriver<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scenario;
     use mwn_graph::builders;
-    use mwn_radio::BernoulliLoss;
+    use mwn_radio::{BernoulliLoss, SlottedCsma, Thinned};
     use rand::rngs::StdRng;
 
     struct MaxFlood;
@@ -1077,9 +972,28 @@ mod tests {
         }
     }
 
+    /// The eager flood over a perfect medium on the event clock.
+    fn flood(topo: Topology, config: EventConfig, seed: u64) -> EventDriver<MaxFlood> {
+        Scenario::new(MaxFlood)
+            .topology(topo)
+            .seed(seed)
+            .build_events(config)
+            .expect("valid event scenario")
+    }
+
+    /// The gated flood over `medium` on the event clock.
+    fn gated_flood<M: Medium>(medium: M, topo: Topology, seed: u64) -> EventDriver<GatedFlood, M> {
+        Scenario::new(GatedFlood)
+            .medium(medium)
+            .topology(topo)
+            .seed(seed)
+            .build_events(EventConfig::default())
+            .expect("valid event scenario")
+    }
+
     #[test]
     fn flood_converges_in_continuous_time() {
-        let mut d = EventDriver::new(MaxFlood, builders::line(6), EventConfig::default(), 1);
+        let mut d = flood(builders::line(6), EventConfig::default(), 1);
         d.run_until_time(40.0);
         assert!(d.states().iter().all(|&s| s == 5));
         assert!(d.measured_tau() > 0.5);
@@ -1090,8 +1004,8 @@ mod tests {
         // Information needs ~1 beacon period per hop: a longer line
         // takes proportionally longer.
         let cfg = EventConfig::default();
-        let mut short = EventDriver::new(MaxFlood, builders::line(4), cfg, 2);
-        let mut long = EventDriver::new(MaxFlood, builders::line(30), cfg, 2);
+        let mut short = flood(builders::line(4), cfg, 2);
+        let mut long = flood(builders::line(30), cfg, 2);
         let t_short = short
             .run_until_stable(|_, s| *s, 0.5, 10, 500.0)
             .expect("short line converges");
@@ -1106,18 +1020,22 @@ mod tests {
 
     #[test]
     fn collisions_occur_on_dense_graphs() {
-        // Long frames → many overlaps on the collision channel. At 0.1
-        // the per-frame clear probability on K12 keeps τ bounded away
-        // from both 0 and 1 regardless of the RNG stream.
+        // Every radio of K12 contends for the same 8 CSMA slots, which
+        // keeps τ bounded away from both 0 and 1 (≈ 0.5 over seeds 0–4).
         let cfg = EventConfig {
             frame_time: 0.1,
             ..EventConfig::default()
         };
-        let mut d = EventDriver::new(MaxFlood, builders::complete(12), cfg, 3);
+        let mut d = Scenario::new(MaxFlood)
+            .medium(SlottedCsma::new(8))
+            .topology(builders::complete(12))
+            .seed(3)
+            .build_events(cfg)
+            .expect("CSMA has the gated-contention contract");
         d.run_until_time(30.0);
         assert!(
             d.measured_tau() < 0.9,
-            "long frames on K12 must collide, τ = {}",
+            "contention on K12 must collide, τ = {}",
             d.measured_tau()
         );
         assert!(d.measured_tau() > 0.0);
@@ -1125,7 +1043,7 @@ mod tests {
 
     #[test]
     fn corruption_then_reconvergence() {
-        let mut d = EventDriver::new(MaxFlood, builders::ring(8), EventConfig::default(), 4);
+        let mut d = flood(builders::ring(8), EventConfig::default(), 4);
         d.run_until_time(20.0);
         d.corrupt_all();
         assert!(d.states().iter().all(|&s| s == 0));
@@ -1139,7 +1057,7 @@ mod tests {
             extra_loss: 0.6,
             ..EventConfig::default()
         };
-        let mut d = EventDriver::new(MaxFlood, builders::line(5), cfg, 5);
+        let mut d = flood(builders::line(5), cfg, 5);
         d.run_until_time(200.0);
         assert!(d.states().iter().all(|&s| s == 4));
     }
@@ -1147,8 +1065,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let mut d =
-                EventDriver::new(MaxFlood, builders::ring(10), EventConfig::default(), seed);
+            let mut d = flood(builders::ring(10), EventConfig::default(), seed);
             d.run_until_time(15.0);
             d.states().to_vec()
         };
@@ -1228,13 +1145,7 @@ mod tests {
 
     #[test]
     fn gated_event_driver_goes_silent_after_stabilization() {
-        let mut d = EventDriver::with_medium(
-            GatedFlood,
-            mwn_radio::PerfectMedium,
-            builders::line(6),
-            EventConfig::default(),
-            11,
-        );
+        let mut d = gated_flood(PerfectMedium, builders::line(6), 11);
         assert!(d.is_gated());
         d.run_until_time(40.0);
         assert!(d.states().iter().all(|&s| s == 5));
@@ -1260,13 +1171,7 @@ mod tests {
         // The continuous-time equivalence: muting silent senders on an
         // independent-fates medium is unobservable in the trajectory.
         let run = |eager: bool| {
-            let mut d = EventDriver::with_medium(
-                GatedFlood,
-                BernoulliLoss::new(0.7),
-                builders::ring(9),
-                EventConfig::default(),
-                13,
-            );
+            let mut d = gated_flood(BernoulliLoss::new(0.7), builders::ring(9), 13);
             d.set_eager(eager);
             d.run_until_time(25.0);
             d.corrupt_all();
@@ -1281,13 +1186,7 @@ mod tests {
         // Since the statistical-occupancy contract, both shipped CSMA
         // media run on the medium channel and gate silent senders: a
         // stabilized CSMA network drains its queue like Bernoulli does.
-        let mut d = EventDriver::with_medium(
-            GatedFlood,
-            mwn_radio::SlottedCsma::new(8),
-            builders::line(4),
-            EventConfig::default(),
-            2,
-        );
+        let mut d = gated_flood(SlottedCsma::new(8), builders::line(4), 2);
         assert!(d.is_gated(), "gated contention extends to the event clock");
         d.run_until_time(40.0);
         assert!(d.states().iter().all(|&s| s == 3));
@@ -1299,47 +1198,80 @@ mod tests {
     }
 
     #[test]
-    fn unconverted_contention_media_fall_back_to_the_collision_channel() {
-        // A medium with neither independent fates nor the
-        // gated-contention contract still forces the built-in
-        // collision channel (and eager scheduling).
-        struct OpaqueContention;
-        impl Medium for OpaqueContention {
-            fn deliver_into(
-                &mut self,
-                topo: &Topology,
-                senders: &[NodeId],
-                _rng: &mut StdRng,
-                out: &mut Delivery,
-            ) {
-                for &s in senders {
-                    out.attempted += topo.degree(s);
-                }
-            }
-            fn name(&self) -> &'static str {
-                "opaque-contention"
-            }
-        }
-        let d = EventDriver::with_medium(
-            GatedFlood,
-            OpaqueContention,
-            builders::line(4),
-            EventConfig::default(),
-            2,
-        );
+    fn non_gating_contention_media_are_rejected_with_their_status() {
+        // Thinned CSMA has neither independent fates nor the
+        // gated-contention contract: no per-sender continuous-time law.
+        let result = Scenario::new(GatedFlood)
+            .medium(Thinned::new(SlottedCsma::new(8), 0.9))
+            .topology(builders::line(4))
+            .seed(2)
+            .build_events(EventConfig::default());
+        let Err(err) = result else {
+            panic!("wrapped contention media must be rejected");
+        };
+        assert!(matches!(err, SimError::InvalidConfig(_)));
+        let text = err.to_string();
+        assert!(text.contains("event driver"), "text: {text}");
+        assert!(text.contains("medium `thinned`"), "text: {text}");
         assert!(
-            !d.is_gated(),
-            "contention without the occupancy contract must not gate"
+            text.contains("no gated-contention contract either"),
+            "text: {text}"
         );
     }
 
     #[test]
-    #[should_panic(expected = "beacon period must be positive")]
-    fn invalid_config_rejected() {
-        let cfg = EventConfig {
-            beacon_period: 0.0,
-            ..EventConfig::default()
-        };
-        let _ = EventDriver::new(MaxFlood, builders::line(2), cfg, 0);
+    fn check_rejects_non_finite_values() {
+        let base = EventConfig::default();
+        for bad in [f64::NAN, f64::INFINITY] {
+            for cfg in [
+                EventConfig {
+                    beacon_period: bad,
+                    ..base
+                },
+                EventConfig {
+                    jitter: bad,
+                    ..base
+                },
+                EventConfig {
+                    frame_time: bad,
+                    ..base
+                },
+                EventConfig {
+                    extra_loss: bad,
+                    ..base
+                },
+            ] {
+                assert!(cfg.check().is_err(), "{cfg:?} must be rejected");
+            }
+        }
+        assert_eq!(base.check(), Ok(()));
+    }
+
+    #[test]
+    fn invalid_config_is_an_error() {
+        for (cfg, why) in [
+            (
+                EventConfig {
+                    beacon_period: 0.0,
+                    ..EventConfig::default()
+                },
+                "beacon period must be finite and positive",
+            ),
+            (
+                EventConfig {
+                    frame_time: f64::INFINITY,
+                    ..EventConfig::default()
+                },
+                "frame time must be finite and positive",
+            ),
+        ] {
+            let result = Scenario::new(MaxFlood)
+                .topology(builders::line(2))
+                .build_events(cfg);
+            assert!(
+                matches!(&result, Err(SimError::InvalidConfig(text)) if text == why),
+                "{cfg:?}"
+            );
+        }
     }
 }

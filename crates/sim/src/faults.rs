@@ -50,7 +50,7 @@ use rand::{Rng, SeedableRng};
 use crate::engine::ActivityCore;
 use crate::error::SimError;
 use crate::protocol::Protocol;
-use crate::scenario::TopologyDynamics;
+use crate::scenario::{Dynamics, TopologyDynamics};
 use crate::{Corruptible, Network};
 
 /// What a Byzantine node puts on the air instead of its true beacon.
@@ -280,7 +280,7 @@ impl<P: Protocol> FaultEngine<P> {
     pub fn step_edge(
         &mut self,
         now: u64,
-        dynamics: &mut Option<Box<dyn TopologyDynamics + Send>>,
+        dynamics: &mut Dynamics,
         protocol: &P,
         topo: &mut Topology,
         core: &mut ActivityCore<P>,

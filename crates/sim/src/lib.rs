@@ -17,9 +17,9 @@
 //!   paper's Δ(τ) "step" (Section 5). Step counts measured here are
 //!   directly comparable to the paper's Tables 2, 3 and 5.
 //! * [`EventDriver`] — the **continuous-time driver**: randomized
-//!   beacons, frames with duration, and either receiver-side
-//!   collisions or medium-decided frame fates — the execution model of
-//!   the paper's "expected constant time" claims.
+//!   beacons, frames with an arrival delay, and medium-decided frame
+//!   fates — the execution model of the paper's "expected constant
+//!   time" claims.
 //! * [`ActorDriver`] — the **actor driver**: every node a real
 //!   message-passing process multiplexed over a worker-thread pool,
 //!   exchanging serialized beacon frames ([`WireBeacon`]) under a

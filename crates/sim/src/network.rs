@@ -4,10 +4,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{host_parallelism, kernels, on_pool_worker, run_sharded, ActivityCore};
-use crate::faults::{Corruptor, FaultEngine};
+use crate::faults::FaultEngine;
 use crate::rng::{derive_seed, split_rng};
-use crate::scenario::TopologyDynamics;
-use crate::stop::{Obs, RunReport, StopWhen};
+use crate::scenario::{Dynamics, Install};
+use crate::stop::{RoundClock, RunReport, StopWhen};
 use crate::{Activity, Corruptible, Fault, Observable, Protocol, SimError, StabilityTracker};
 
 /// What one [`Network::step`] actually did — the activity counters of
@@ -150,7 +150,7 @@ pub struct Network<P: Protocol, M> {
     shards: ShardMode,
     /// Scripted faults, their followups and every injected fault.
     faults: FaultEngine<P>,
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    dynamics: Dynamics,
     // Reused step buffers: no per-step allocation in steady state.
     senders_buf: Vec<NodeId>,
     active_buf: Vec<NodeId>,
@@ -217,14 +217,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
             env_changed: false,
             messages_total: 0,
         }
-    }
-
-    pub(crate) fn install_script(&mut self, script: Vec<(u64, Fault)>, hook: Corruptor<P>) {
-        self.faults.install(script, hook);
-    }
-
-    pub(crate) fn install_dynamics(&mut self, dynamics: Box<dyn TopologyDynamics + Send>) {
-        self.dynamics = Some(dynamics);
     }
 
     /// Detaches any topology dynamics attached by
@@ -313,13 +305,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     /// growing once the network stabilizes.
     pub fn messages_total(&self) -> u64 {
         self.messages_total
-    }
-
-    /// Nodes whose state changed during the last step (gated
-    /// scheduling only; empty under eager scheduling, which does not
-    /// track changes).
-    pub fn last_changed(&self) -> &[NodeId] {
-        &self.core.table.changed
     }
 
     /// Processes an incremental topology change through the shared
@@ -615,26 +600,6 @@ impl<P: Protocol, M: Medium> Network<P, M> {
         None
     }
 
-    /// Low-level: runs until `pred` holds (checked after each step), or
-    /// the absolute step count reaches `max_steps`. Returns the step
-    /// count at which the predicate first held. Prefer
-    /// [`Network::run_to`] with [`StopWhen::predicate`].
-    pub fn run_until<F>(&mut self, mut pred: F, max_steps: u64) -> Option<u64>
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        if pred(self) {
-            return Some(self.step);
-        }
-        while self.step < max_steps {
-            self.step();
-            if pred(self) {
-                return Some(self.step);
-            }
-        }
-        None
-    }
-
     /// Current step count.
     pub fn now(&self) -> u64 {
         self.step
@@ -709,25 +674,32 @@ impl<P: Protocol, M: Medium> Network<P, M> {
     }
 }
 
-impl<P: Observable, M: Medium> Network<P, M> {
-    /// Projects every node's observable output into `buf` (cleared
-    /// first); the buffer can be reused across steps.
-    pub fn outputs_into(&self, buf: &mut Vec<P::Output>) {
-        buf.clear();
-        buf.extend(
-            self.core
-                .table
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| self.protocol.output(NodeId::new(i as u32), s)),
-        );
+impl<P: Protocol, M: Medium> Install<P> for Network<P, M> {
+    fn install_slots(&mut self) -> (&mut FaultEngine<P>, &mut Dynamics) {
+        (&mut self.faults, &mut self.dynamics)
     }
+}
 
+impl<P: Protocol, M: Medium> RoundClock<P> for Network<P, M> {
+    fn step(&mut self) -> u64 {
+        Network::step(self)
+    }
+    fn now(&self) -> u64 {
+        self.step
+    }
+    fn is_gated(&self) -> bool {
+        Network::is_gated(self)
+    }
+    fn view(&self) -> (&P, &Topology, &ActivityCore<P>, bool) {
+        (&self.protocol, &self.topo, &self.core, self.env_changed)
+    }
+}
+
+impl<P: Observable, M: Medium> Network<P, M> {
     /// The observable output of every node.
     pub fn outputs(&self) -> Vec<P::Output> {
-        let mut buf = Vec::with_capacity(self.core.table.states.len());
-        self.outputs_into(&mut buf);
+        let mut buf = Vec::new();
+        self.core.outputs_into(&self.protocol, &mut buf);
         buf
     }
 
@@ -748,63 +720,7 @@ impl<P: Observable, M: Medium> Network<P, M> {
     ///
     /// See the crate-level example.
     pub fn run_to(&mut self, stop: &StopWhen<P>) -> RunReport {
-        let start = self.step;
-        let mut cursor = stop.cursor();
-        let gated = self.is_gated();
-        // Only project outputs when a StableFor leaf will read them (or
-        // when the gated engine tracks them incrementally);
-        // predicate/budget-only stops skip the per-step O(n) pass.
-        let needs_outputs = stop.needs_outputs();
-        let mut outputs: Vec<P::Output> = Vec::with_capacity(self.core.table.states.len());
-        if needs_outputs {
-            self.outputs_into(&mut outputs);
-        }
-        let mut verdict = cursor.observe(
-            self.step,
-            0,
-            &self.topo,
-            &self.core.table.states,
-            &Obs::Full { outputs: &outputs },
-        );
-        while !verdict.satisfied {
-            self.step();
-            let obs = if gated {
-                let mut output_changed = false;
-                if needs_outputs {
-                    for &p in &self.core.table.changed {
-                        let fresh = self.protocol.output(p, &self.core.table.states[p.index()]);
-                        if outputs[p.index()] != fresh {
-                            outputs[p.index()] = fresh;
-                            output_changed = true;
-                        }
-                    }
-                }
-                Obs::Delta {
-                    output_changed,
-                    state_changed: !self.core.table.changed.is_empty(),
-                    env_changed: self.env_changed,
-                }
-            } else {
-                if needs_outputs {
-                    self.outputs_into(&mut outputs);
-                }
-                Obs::Full { outputs: &outputs }
-            };
-            verdict = cursor.observe(
-                self.step,
-                self.step - start,
-                &self.topo,
-                &self.core.table.states,
-                &obs,
-            );
-        }
-        RunReport {
-            stabilized: cursor.stabilized(),
-            steps: self.step - start,
-            end_step: self.step,
-            satisfied: !verdict.budget_only,
-            timed_out: verdict.budget_only,
-        }
+        crate::stop::run_to(self, stop)
     }
 }
 

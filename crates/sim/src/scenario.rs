@@ -47,7 +47,7 @@
 use mwn_graph::Topology;
 use mwn_radio::{Medium, PerfectMedium};
 
-use crate::faults::Corruptor;
+use crate::faults::{Corruptor, FaultEngine};
 use crate::{
     ActorDriver, Corruptible, EventConfig, EventDriver, FaultPlan, Network, Protocol, SimError,
     WireBeacon,
@@ -82,6 +82,15 @@ pub trait TopologyDynamics {
 
 type Validator = Box<dyn FnOnce(&Topology) -> Result<(), String>>;
 
+/// The attached topology dynamics of a driver, if any.
+pub(crate) type Dynamics = Option<Box<dyn TopologyDynamics + Send>>;
+
+/// A driver [`Scenario`] can install a fault script and dynamics into.
+pub(crate) trait Install<P: Protocol> {
+    /// The driver's fault engine and its dynamics slot.
+    fn install_slots(&mut self) -> (&mut FaultEngine<P>, &mut Dynamics);
+}
+
 /// Fluent builder for simulation runs; see the module docs.
 ///
 /// The generic parameters are the protocol and the medium; the medium
@@ -93,7 +102,7 @@ pub struct Scenario<P: Protocol, M: Medium = PerfectMedium> {
     topology: Option<Topology>,
     seed: u64,
     faults: Option<(FaultPlan, Corruptor<P>)>,
-    dynamics: Option<Box<dyn TopologyDynamics + Send>>,
+    dynamics: Dynamics,
     validators: Vec<Validator>,
     shards: Option<usize>,
 }
@@ -191,24 +200,14 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// [`SimError::InvalidConfig`] when a [`Scenario::validate`] check
     /// fails.
     pub fn build(self) -> Result<Network<P, M>, SimError> {
-        let topology = self.topology.ok_or(SimError::MissingTopology)?;
-        for check in self.validators {
-            check(&topology).map_err(SimError::InvalidConfig)?;
-        }
-        if let Some((plan, _)) = &self.faults {
-            plan.validate_for(&topology)?;
-        }
-        let mut net = Network::new(self.protocol, self.medium, topology, self.seed);
-        if let Some(k) = self.shards {
-            net.set_shards(Some(k));
-        }
-        if let Some((plan, corruptor)) = self.faults {
-            net.install_script(plan.into_events(), corruptor);
-        }
-        if let Some(dynamics) = self.dynamics {
-            net.install_dynamics(dynamics);
-        }
-        Ok(net)
+        let shards = self.shards;
+        self.assemble(|protocol, medium, topology, seed| {
+            let mut net = Network::new(protocol, medium, topology, seed);
+            if let Some(k) = shards {
+                net.set_shards(Some(k));
+            }
+            Ok(net)
+        })
     }
 
     /// Builds the continuous-time event driver instead of the round
@@ -219,9 +218,9 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// decide each frame copy's fate from a derived per-(slot, sender)
     /// stream — and permit activity gating for
     /// [`crate::Activity::Gated`] protocols, whose silent nodes then
-    /// stop scheduling beacon events altogether. Contention-coupled
-    /// media fall back to the driver's built-in overlap-collision
-    /// channel, which models contention directly in continuous time.
+    /// stop scheduling beacon events altogether. Gated-contention media
+    /// (CSMA, capture) gate the same way through statistical
+    /// occupancy; a medium with neither contract is rejected.
     ///
     /// Scripted [`FaultPlan`]s carry over: a fault scheduled at step
     /// `k` fires once the clock reaches `k` beacon periods. Mobility
@@ -232,25 +231,12 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
     /// # Errors
     ///
     /// [`SimError::MissingTopology`], [`SimError::InvalidConfig`] (bad
-    /// event parameters or failed validation).
+    /// event parameters, failed validation, or a medium with neither
+    /// independent fates nor gated contention).
     pub fn build_events(self, config: EventConfig) -> Result<EventDriver<P, M>, SimError> {
-        let topology = self.topology.ok_or(SimError::MissingTopology)?;
-        config.check().map_err(SimError::InvalidConfig)?;
-        for check in self.validators {
-            check(&topology).map_err(SimError::InvalidConfig)?;
-        }
-        if let Some((plan, _)) = &self.faults {
-            plan.validate_for(&topology)?;
-        }
-        let mut driver =
-            EventDriver::with_medium(self.protocol, self.medium, topology, config, self.seed);
-        if let Some((plan, corruptor)) = self.faults {
-            driver.install_script(plan.into_events(), corruptor);
-        }
-        if let Some(dynamics) = self.dynamics {
-            driver.install_dynamics(dynamics);
-        }
-        Ok(driver)
+        self.assemble(|protocol, medium, topology, seed| {
+            EventDriver::with_medium(protocol, medium, topology, config, seed)
+        })
     }
 
     /// Builds the **actor driver**: every node a real message-passing
@@ -278,6 +264,18 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         P::Beacon: WireBeacon,
         M: Sync,
     {
+        self.assemble(|protocol, medium, topology, seed| {
+            ActorDriver::new(protocol, medium, topology, seed, threads)
+        })
+    }
+
+    /// The build path every driver shares: checks the topology, the
+    /// registered validators and the fault plan, constructs the driver
+    /// through `make`, then installs the fault script and dynamics.
+    fn assemble<D: Install<P>>(
+        self,
+        make: impl FnOnce(P, M, Topology, u64) -> Result<D, SimError>,
+    ) -> Result<D, SimError> {
         let topology = self.topology.ok_or(SimError::MissingTopology)?;
         for check in self.validators {
             check(&topology).map_err(SimError::InvalidConfig)?;
@@ -285,14 +283,12 @@ impl<P: Protocol, M: Medium> Scenario<P, M> {
         if let Some((plan, _)) = &self.faults {
             plan.validate_for(&topology)?;
         }
-        let mut driver =
-            ActorDriver::new(self.protocol, self.medium, topology, self.seed, threads)?;
+        let mut driver = make(self.protocol, self.medium, topology, self.seed)?;
+        let (engine, dynamics) = driver.install_slots();
         if let Some((plan, corruptor)) = self.faults {
-            driver.install_script(plan.into_events(), corruptor);
+            engine.install(plan.into_events(), corruptor);
         }
-        if let Some(dynamics) = self.dynamics {
-            driver.install_dynamics(dynamics);
-        }
+        *dynamics = self.dynamics;
         Ok(driver)
     }
 }

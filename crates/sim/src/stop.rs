@@ -1,4 +1,5 @@
-//! First-class stop conditions and run reports for the round driver.
+//! First-class stop conditions, run reports, and the one stop loop of
+//! the round-clocked drivers.
 //!
 //! Historically every experiment called
 //! `run_until_stable(|_, s| s.output(), quiet, max_steps)` — a
@@ -20,7 +21,8 @@
 
 use mwn_graph::Topology;
 
-use crate::{Observable, StabilityTracker};
+use crate::engine::ActivityCore;
+use crate::{Observable, Protocol, StabilityTracker};
 
 /// A declarative stop condition for [`crate::Network::run_to`] and the
 /// [`crate::Sweep`] runner.
@@ -333,5 +335,88 @@ impl<P: Observable> Cursor<P> {
                 children.iter().find_map(Cursor::stabilized)
             }
         }
+    }
+}
+
+/// A driver that advances in whole rounds — [`crate::Network`] steps
+/// and [`crate::ActorDriver`] periods — as the one [`run_to`] loop
+/// sees it.
+pub(crate) trait RoundClock<P: Protocol> {
+    /// Executes one round; returns the new round count.
+    fn step(&mut self) -> u64;
+    /// The current round count.
+    fn now(&self) -> u64;
+    /// Whether the driver currently runs dirty-set (gated) scheduling.
+    fn is_gated(&self) -> bool;
+    /// What the stop conditions observe: the protocol, the topology,
+    /// the activity core, and whether the last round changed the
+    /// topology or fired a fault.
+    fn view(&self) -> (&P, &Topology, &ActivityCore<P>, bool);
+}
+
+/// Runs `driver` until `stop` is satisfied and reports what happened.
+/// The condition is checked before the first round and after every
+/// round.
+///
+/// Under gated scheduling the per-round evaluation is incremental: a
+/// quiescent round extends stability streaks and reuses memoized
+/// predicate verdicts without projecting a single output.
+pub(crate) fn run_to<P: Observable, D: RoundClock<P>>(
+    driver: &mut D,
+    stop: &StopWhen<P>,
+) -> RunReport {
+    let start = driver.now();
+    let mut cursor = stop.cursor();
+    let gated = driver.is_gated();
+    // Only project outputs when a StableFor leaf will read them (or
+    // when the gated engine tracks them incrementally);
+    // predicate/budget-only stops skip the per-round O(n) pass.
+    let needs_outputs = stop.needs_outputs();
+    let mut outputs: Vec<P::Output> = Vec::new();
+    let (protocol, topo, core, _) = driver.view();
+    if needs_outputs {
+        core.outputs_into(protocol, &mut outputs);
+    }
+    let mut verdict = cursor.observe(
+        start,
+        0,
+        topo,
+        &core.table.states,
+        &Obs::Full { outputs: &outputs },
+    );
+    let mut now = start;
+    while !verdict.satisfied {
+        now = driver.step();
+        let (protocol, topo, core, env_changed) = driver.view();
+        let obs = if gated {
+            let mut output_changed = false;
+            if needs_outputs {
+                for &p in &core.table.changed {
+                    let fresh = protocol.output(p, &core.table.states[p.index()]);
+                    if outputs[p.index()] != fresh {
+                        outputs[p.index()] = fresh;
+                        output_changed = true;
+                    }
+                }
+            }
+            Obs::Delta {
+                output_changed,
+                state_changed: !core.table.changed.is_empty(),
+                env_changed,
+            }
+        } else {
+            if needs_outputs {
+                core.outputs_into(protocol, &mut outputs);
+            }
+            Obs::Full { outputs: &outputs }
+        };
+        verdict = cursor.observe(now, now - start, topo, &core.table.states, &obs);
+    }
+    RunReport {
+        stabilized: cursor.stabilized(),
+        steps: now - start,
+        end_step: now,
+        satisfied: !verdict.budget_only,
+        timed_out: verdict.budget_only,
     }
 }

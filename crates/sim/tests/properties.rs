@@ -6,8 +6,8 @@
 use mwn_graph::{builders, traversal, NodeId, Point2, Topology};
 use mwn_radio::{BernoulliLoss, PerfectMedium, SlottedCsma};
 use mwn_sim::{
-    Activity, Corruptible, EventConfig, EventDriver, Fault, FaultPlan, Lie, Network, Observable,
-    Protocol, Region,
+    Activity, Corruptible, EventConfig, Fault, FaultPlan, Lie, Network, Observable, Protocol,
+    Region, Scenario,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -175,7 +175,11 @@ proptest! {
         net.run_until_stable(|_, s| *s, 3, 500).expect("round driver reconverges");
         prop_assert_eq!(net.states(), expected.as_slice());
 
-        let mut driver = EventDriver::new(MaxFlood, topo, EventConfig::default(), seed);
+        let mut driver = Scenario::new(MaxFlood)
+            .topology(topo)
+            .seed(seed)
+            .build_events(EventConfig::default())
+            .expect("valid event scenario");
         driver
             .run_until_stable(|_, s| *s, 1.0, 8, 2000.0)
             .expect("event driver converges");
@@ -309,7 +313,11 @@ proptest! {
         };
         prop_assert_eq!(round(&topo), round(&topo));
         let event = |topo: &Topology| {
-            let mut d = EventDriver::new(MaxFlood, topo.clone(), EventConfig::default(), seed);
+            let mut d = Scenario::new(MaxFlood)
+                .topology(topo.clone())
+                .seed(seed)
+                .build_events(EventConfig::default())
+                .expect("valid event scenario");
             d.run_until_time(10.0);
             d.states().to_vec()
         };

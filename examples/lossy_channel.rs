@@ -58,9 +58,9 @@ fn main() {
         &want,
     );
 
-    // Continuous time: randomized beacons, frames with duration. The
-    // event driver honors the scenario's medium — here Bernoulli loss
-    // at τ = 0.65, roughly what overlap collisions used to cost.
+    // Continuous time: randomized beacons, frames with an arrival
+    // delay. The event driver honors the scenario's medium — here
+    // Bernoulli loss at τ = 0.65.
     // The TTL must cover the longest plausible run of lost beacons:
     // at 35% loss, 30 periods keeps false expiries to ~1e-13 per
     // entry.
